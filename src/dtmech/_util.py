@@ -13,25 +13,39 @@ def pairwise_sum(values):
     """Sum an array with a fixed binary-tree reduction order.
 
     The tree depends only on the array length, never on chunking or thread
-    count, so reductions are bit-reproducible across runs and executors.
+    count, so reductions are bit-reproducible across runs and executors.  An
+    ``(m, k)`` array gives ``k`` sums, each bit-identical to its column's.
     """
     a = np.asarray(values)
-    if a.size == 0:
-        return a.dtype.type(0.0) if a.dtype.kind in "fc" else 0.0
-    a = a.ravel()
-    while a.size > 1:
-        even = a[0 : 2 * (a.size // 2) : 2]
-        odd = a[1 : 2 * (a.size // 2) : 2]
-        merged = even + odd
-        if a.size % 2:
+    if a.ndim != 2:
+        a = a.ravel()
+        if a.size == 0:
+            return a.dtype.type(0.0) if a.dtype.kind in "fc" else 0.0
+    while a.shape[0] > 1:
+        half = a.shape[0] // 2
+        merged = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
+        if a.shape[0] % 2:
             merged = np.concatenate([merged, a[-1:]])
         a = merged
     return a[0]
 
 
 def pairwise_dot(weights, values):
-    """Deterministic dot product built on :func:`pairwise_sum`."""
-    return pairwise_sum(np.asarray(weights) * np.asarray(values))
+    """Deterministic dot product built on :func:`pairwise_sum`, per column."""
+    values = np.asarray(values)
+    return pairwise_sum(as_rows(np.asarray(weights), values) * values)
+
+
+def as_rows(per_row, values):
+    """View a per-row array so it broadcasts against ``(m,)`` or ``(m, k)``."""
+    return per_row.reshape(per_row.shape + (1,) * (values.ndim - per_row.ndim))
+
+
+def modulus(values):
+    """Elementwise ``|z|`` bit-identical to Python's ``abs`` on each entry
+    (``np.abs`` on complex arrays can differ from it in the last bit)."""
+    a = np.asarray(values)
+    return np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
 
 
 def resolve_thread_count(threads=None):
@@ -63,7 +77,3 @@ def deterministic_map(func, items, threads=None):
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(func, items))
 
-
-def format_float(x) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    return repr(float(x))

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from ._util import deterministic_map
 from .errors import StiffnessFailure
-from .kernel import GammaKernel, TimeSignal, TransformResult, transform_quadrature
+from .kernel import GammaKernel, TimeSignal, transform_quadrature
 
 __all__ = [
     "PhaseState",
@@ -414,9 +414,10 @@ def observable_signal(trajectory: Trajectory, func,
     """Time signal t -> func(x(t), p(t)) along a trajectory.
 
     ``func`` must be vectorized over the leading axis: it receives arrays of
-    shape ``(m, dof)`` and returns shape ``(m,)``.  Without a declared growth
-    rate the transform's divergence screening probes the signal far beyond
-    the weight's bulk, growing the trajectory as needed.
+    shape ``(m, dof)`` and returns shape ``(m,)``, or ``(m, k)`` for ``k``
+    observables.  Without a declared growth rate the transform's divergence
+    screening probes the signal far beyond the weight's bulk, growing the
+    trajectory as needed.
     """
 
     def evaluate(t):
@@ -433,6 +434,7 @@ def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
 
     Row ``n`` is the gamma transform (at step count ``n``) of the signal
     ``t -> func(x(t), p(t))``; row 0 is the deterministic initial value.
+    A row holds ``k`` entries when ``func`` returns ``k`` columns.
     Transforms for different ``n`` are independent and may run on a thread
     pool; the output ordering and values do not depend on the thread count.
     """
@@ -442,13 +444,12 @@ def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
     signal = observable_signal(trajectory, func, growth_rate=growth_rate)
     x0 = state.positions[None, :]
     p0 = state.momenta[None, :]
-    first = float(np.asarray(func(x0, p0)).reshape(()))
+    first = np.asarray(func(x0, p0), dtype=float)[0]
 
-    def one(n: int) -> float:
+    def one(n: int):
         if n == 0:
             return first
-        res = transform_quadrature(signal, GammaKernel(int(n), kernel.tau))
-        return float(res.value)
+        return transform_quadrature(signal, GammaKernel(int(n), kernel.tau)).value
 
     if threads is not None and threads > 1 and not model.analytic:
         # an ODE-backed trajectory grows in place when probed beyond its
@@ -457,7 +458,7 @@ def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
         far = 2.0 * kernel.tau * (n_values[-1] + 10.0 * math.sqrt(n_values[-1] + 1.0) + 51.0)
         trajectory.state_at(far)
     values = deterministic_map(one, [int(n) for n in n_values], threads=threads)
-    return np.asarray(values)
+    return np.asarray(values, dtype=float)
 
 
 def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
@@ -465,50 +466,32 @@ def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
                        threads: int | None = None) -> MomentReport:
     """Moment report computed entirely through the quadrature route.
 
-    Exists to cross-check the closed forms: every mean and pair moment is an
-    independent gamma transform of the corresponding product along the
-    continuous trajectory.
+    Exists to cross-check the closed forms: every mean and pair moment is a
+    gamma transform of the corresponding product along the continuous
+    trajectory.  All of them (and the energy) are columns of one signal, so
+    each step count costs one transform.
     """
     n_values = _step_range(kernel, steps)
-    rows = n_values.size
     l = state.dof
-    mean_x = np.empty((rows, l))
-    mean_p = np.empty((rows, l))
-    second_x = np.empty((rows, l, l))
-    second_p = np.empty((rows, l, l))
+    iu, ju = np.triu_indices(l)
+    has_energy = getattr(model, "has_energy", True)
 
-    def pick(i):
-        return lambda x, p: x[..., i]
+    def columns(x, p):
+        cols = [x, p, x[:, iu] * x[:, ju], p[:, iu] * p[:, ju]]
+        if has_energy:
+            cols.append(model.energy(x, p, state.masses)[:, None])
+        return np.concatenate(cols, axis=1)
 
-    def pick_p(i):
-        return lambda x, p: p[..., i]
-
-    def pair_x(i, j):
-        return lambda x, p: x[..., i] * x[..., j]
-
-    def pair_p(i, j):
-        return lambda x, p: p[..., i] * p[..., j]
-
-    for i in range(l):
-        mean_x[:, i] = evolve_observable(model, state, pick(i), kernel,
-                                         steps=steps, threads=threads)
-        mean_p[:, i] = evolve_observable(model, state, pick_p(i), kernel,
-                                         steps=steps, threads=threads)
-    for i in range(l):
-        for j in range(i, l):
-            vx = evolve_observable(model, state, pair_x(i, j), kernel,
-                                   steps=steps, threads=threads)
-            vp = evolve_observable(model, state, pair_p(i, j), kernel,
-                                   steps=steps, threads=threads)
-            second_x[:, i, j] = second_x[:, j, i] = vx
-            second_p[:, i, j] = second_p[:, j, i] = vp
-    if getattr(model, "has_energy", True):
-        energy = evolve_observable(
-            model, state, lambda x, p: model.energy(x, p, state.masses),
-            kernel, steps=steps, threads=threads)
-    else:
-        energy = np.full(rows, np.nan)
-    return MomentReport(tau=kernel.tau, steps=n_values, mean_positions=mean_x,
-                        mean_momenta=mean_p, second_positions=second_x,
-                        second_momenta=second_p, energy=energy,
-                        source="quadrature")
+    values = evolve_observable(model, state, columns, kernel, steps=steps,
+                               threads=threads)
+    pairs = iu.size
+    second_x = np.empty((n_values.size, l, l))
+    second_p = np.empty((n_values.size, l, l))
+    second_x[:, iu, ju] = second_x[:, ju, iu] = values[:, 2 * l:2 * l + pairs]
+    second_p[:, iu, ju] = second_p[:, ju, iu] = values[:, 2 * l + pairs:2 * l + 2 * pairs]
+    energy = values[:, -1] if has_energy else np.full(n_values.size, np.nan)
+    return MomentReport(tau=kernel.tau, steps=n_values,
+                        mean_positions=values[:, :l],
+                        mean_momenta=values[:, l:2 * l],
+                        second_positions=second_x, second_momenta=second_p,
+                        energy=energy, source="quadrature")

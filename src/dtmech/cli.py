@@ -59,8 +59,8 @@ from .kernel import (GammaKernel, QuadratureRule, StepScheme,
                      transform_quadrature)
 from .nonlinear import (SensitivityModel, ct_distance, ct_lyapunov,
                         dt_distance, dt_lyapunov)
-from .quantum import (NATURAL, SECONDS_PER_YEAR, SI_PLANCK, DensityMatrix,
-                      decoherence_time, evolve_density,
+from .quantum import (ELECTRON_VOLT, NATURAL, SECONDS_PER_YEAR, SI_PLANCK,
+                      DensityMatrix, decoherence_time, evolve_density,
                       gamma_equivalence_check, project_density,
                       schroedinger_defect)
 from .report import build_meta, render_csv, render_json, write_report
@@ -78,49 +78,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 _PRESETS = {"natural": NATURAL, "si-planck": SI_PLANCK}
-_ELECTRON_VOLT = 1.602176634e-19
-_ENERGY_UNITS = {"meV": 1e-3 * _ELECTRON_VOLT, "eV": _ELECTRON_VOLT, "J": 1.0}
-_TIME_UNITS = {"s": 1.0, "yr": SECONDS_PER_YEAR}
+_UNITS = {
+    "energy": {"meV": 1e-3 * ELECTRON_VOLT, "eV": ELECTRON_VOLT, "J": 1.0},
+    "time": {"s": 1.0, "yr": SECONDS_PER_YEAR},
+}
 _NUMBER_UNIT = re.compile(
     r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([A-Za-z]*)\s*$")
 
 
-def _split_number_unit(text: str, what: str) -> tuple[float, str]:
+def _parse_quantity(text: str, what: str, si: bool) -> float:
+    """``what`` ("energy" or "time"): a bare number in natural units, a
+    number with a suffix from its :data:`_UNITS` table in SI."""
     m = _NUMBER_UNIT.match(str(text))
     if not m:
         raise ConfigError(f"cannot parse {what} {text!r}")
-    return float(m.group(1)), m.group(2)
-
-
-def _parse_energy(text: str, si: bool) -> float:
-    """Energy input: bare number in natural units, suffixed in SI."""
-    value, unit = _split_number_unit(text, "energy")
+    value, unit = float(m.group(1)), m.group(2)
+    units = _UNITS[what]
     if si:
+        names = ", ".join(units)
         if not unit:
-            raise ConfigError(
-                f"energy {text!r} needs a unit suffix (meV, eV, J) "
-                "with --preset si-planck")
-        if unit not in _ENERGY_UNITS:
-            raise ConfigError(f"unknown energy unit {unit!r} in {text!r} "
-                              "(use meV, eV, or J)")
-        return value * _ENERGY_UNITS[unit]
-    if unit:
-        raise ConfigError(f"unit suffix {unit!r} in {text!r} is only "
-                          "accepted with --preset si-planck")
-    return value
-
-
-def _parse_time(text: str, si: bool) -> float:
-    """Time input: bare number in natural units, s/yr suffixed in SI."""
-    value, unit = _split_number_unit(text, "time")
-    if si:
-        if not unit:
-            raise ConfigError(f"time {text!r} needs a unit suffix (s, yr) "
+            raise ConfigError(f"{what} {text!r} needs a unit suffix ({names}) "
                               "with --preset si-planck")
-        if unit not in _TIME_UNITS:
-            raise ConfigError(f"unknown time unit {unit!r} in {text!r} "
-                              "(use s or yr)")
-        return value * _TIME_UNITS[unit]
+        if unit not in units:
+            raise ConfigError(f"unknown {what} unit {unit!r} in {text!r} "
+                              f"(use {names})")
+        return value * units[unit]
     if unit:
         raise ConfigError(f"unit suffix {unit!r} in {text!r} is only "
                           "accepted with --preset si-planck")
@@ -353,22 +335,22 @@ def _cmd_quantum_td(args):
     horizon_text = args.horizon
     rows = []
     if si:
-        horizon = _parse_time(horizon_text or "1e10yr", True)
+        horizon = _parse_quantity(horizon_text or "1e10yr", "time", True)
         flag_column = ("exceeds_1e10_years" if horizon_text is None
                        else "exceeds_horizon")
         columns = ["delta_e_joules", "t_d_seconds", "t_d_years", flag_column]
         for text in texts:
-            gap = _parse_energy(text, True)
+            gap = _parse_quantity(text, "energy", True)
             t_d = float(decoherence_time(gap, consts))
             rows.append([gap, t_d, t_d / SECONDS_PER_YEAR, t_d > horizon])
     else:
         columns = ["delta_e", "t_d"]
         horizon = None
         if horizon_text is not None:
-            horizon = _parse_time(horizon_text, False)
+            horizon = _parse_quantity(horizon_text, "time", False)
             columns.append("exceeds_horizon")
         for text in texts:
-            gap = _parse_energy(text, False)
+            gap = _parse_quantity(text, "energy", False)
             t_d = float(decoherence_time(gap, consts))
             row = [gap, t_d]
             if horizon is not None:
@@ -402,7 +384,7 @@ def _cmd_quantum_defect(args):
     texts = args.delta_e
     if not texts:
         raise ConfigError("--delta-e is required (repeat for several gaps)")
-    gaps = [_parse_energy(text, si) for text in texts]
+    gaps = [_parse_quantity(text, "energy", si) for text in texts]
     rows = [[n, gap, float(schroedinger_defect(n, gap, consts))]
             for gap in gaps for n in _step_list(args)]
     return {"columns": ["n", "delta_e", "defect"], "rows": rows}, {}

@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from scipy.linalg import eig_banded
 from scipy.special import gammaln
 
-from ._util import pairwise_dot, pairwise_sum
+from ._util import as_rows, modulus, pairwise_dot, pairwise_sum
 from .errors import (
     BackwardOnly,
     DivergentTransform,
@@ -96,9 +96,6 @@ class GammaKernel:
             raise ValueError(f"time quantum tau must be finite and > 0, got {self.tau!r}")
         object.__setattr__(self, "tau", float(self.tau))
 
-    def mean_time(self) -> float:
-        return self.n * self.tau
-
 
 def gamma_density(kernel: GammaKernel, xi, origin: float = 0.0):
     """Smearing weight as a density over internal time ``xi``.
@@ -152,7 +149,9 @@ def _log_density_core(kernel: GammaKernel, s):
 class TimeSignal:
     """Continuous-time signal fed to the smearing transform.
 
-    ``evaluate`` maps an array of times to values (real or complex).
+    ``evaluate`` maps a 1-d array of ``m`` times to values (real or complex)
+    of shape ``(m,)``, or ``(m, k)`` for ``k`` observables transformed in one
+    quadrature pass.
     ``growth_rate`` is an optional declared exponential growth bound g with
     ``|F(t)| <= C * exp(g t)``; when present, convergence is decided from
     ``g * tau < 1`` directly and the screening probe is skipped.  Signals
@@ -305,7 +304,6 @@ class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     error_target: float = 1e-10
-    normalized: bool = True
 
     @classmethod
     def for_kernel(cls, kernel: GammaKernel, node_count: int | None = None,
@@ -317,15 +315,13 @@ class QuadratureRule:
         return cls(step_count=kernel.n, node_count=m, nodes=nodes,
                    weights=weights, error_target=float(error_target))
 
-    def doubled(self) -> "QuadratureRule":
-        nodes, weights = _laguerre_rule(2 * self.node_count, self.step_count - 1)
-        return QuadratureRule(step_count=self.step_count,
-                              node_count=2 * self.node_count, nodes=nodes,
-                              weights=weights, error_target=self.error_target)
-
 
 class TransformResult(NamedTuple):
-    """Value of the smearing integral plus its numerical provenance."""
+    """Value of the smearing integral plus its numerical provenance.
+
+    For ``k`` columns, ``value`` and ``error`` have length ``k``, ``node_count``
+    is the largest any column needed and ``method`` names any fallback.
+    """
 
     value: complex | float
     error: float
@@ -345,7 +341,8 @@ def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
     marginal growth is rejected, not special-cased).  Without a declaration
     the integrand's log-magnitude is probed at ``u* = n + 10 sqrt(n) + 50``
     and at twice that; if the far window still dominates, the tail is growing
-    and the transform is refused as suspected divergence.
+    and the transform is refused as suspected divergence.  A signal with
+    several columns is refused if any one of them grows.
     """
     if signal.growth_rate is not None:
         if signal.growth_rate * kernel.tau >= 1.0:
@@ -362,9 +359,9 @@ def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
         u = base + offsets
         f = np.abs(np.asarray(signal.evaluate(tau * u), dtype=complex))
         with np.errstate(divide="ignore"):
-            return float(np.max((n - 1) * np.log(u) - u + np.log(f)))
+            return np.max(as_rows((n - 1) * np.log(u) - u, f) + np.log(f), axis=0)
 
-    if window_max(2.0 * u_star) > window_max(u_star):
+    if np.any(window_max(2.0 * u_star) > window_max(u_star)):
         raise DivergentTransform(
             "undeclared signal still grows against the weight at "
             f"u ~ {2 * u_star:.0f} (n={n}, tau={tau}); suspected divergence"
@@ -407,9 +404,10 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
 
         def damped(t):
             t = np.asarray(t, dtype=float)
-            damp = np.exp(-g * t)
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.asarray(inner(t)) * damp
+                vals = np.asarray(inner(t))
+                damp = as_rows(np.exp(-g * t), vals)
+                vals = vals * damp
             return np.where(damp == 0.0, 0.0, vals)
 
         eff_signal = TimeSignal(damped, growth_rate=0.0,
@@ -426,6 +424,12 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
 def _transform_core(signal: TimeSignal, kernel: GammaKernel,
                     rule: QuadratureRule | None,
                     abs_floor: float) -> TransformResult:
+    """Node doubling over every column of the signal at once.
+
+    A column keeps the value and error of the first doubling that meets the
+    tolerance, exactly as a scalar transform of it would; doubling goes on
+    until every column is kept, and the rest go to the fallback one by one.
+    """
     if rule is None:
         rule = QuadratureRule.for_kernel(kernel)
     elif rule.step_count != kernel.n:
@@ -434,32 +438,54 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
         )
     rel = rule.error_target
     m = rule.node_count
-    prev = _laguerre_estimate(signal, kernel, m)
-    while m < MAX_NODE_COUNT:
+    first = _laguerre_estimate(signal, kernel, m)
+    scalar = np.ndim(first) == 0
+    prev = np.atleast_1d(first)
+    kind = complex if signal.complex_valued or np.iscomplexobj(prev) else float
+    value = np.zeros(prev.shape, dtype=kind)
+    error = np.zeros(prev.shape)
+    open_ = np.ones(prev.shape, dtype=bool)
+    left, top = prev.size, 0
+    while m < MAX_NODE_COUNT and left:
         m *= 2
-        cur = _laguerre_estimate(signal, kernel, m)
-        err = abs(cur - prev)
-        if err <= max(rel * abs(cur), abs_floor):
-            if signal.complex_valued or np.iscomplexobj(cur):
-                value = complex(cur)
-            else:
-                value = float(cur)
-            return TransformResult(value, float(err), m, "laguerre")
+        cur = np.atleast_1d(_laguerre_estimate(signal, kernel, m))
+        err = modulus(cur - prev)
+        accept = open_ & (err <= np.maximum(rel * modulus(cur), abs_floor))
+        kept = int(np.count_nonzero(accept))
+        if kept:
+            value[accept] = cur[accept]
+            error[accept] = err[accept]
+            open_ &= ~accept
+            left, top = left - kept, m
         prev = cur
-    return _adaptive_fallback(signal, kernel, rel, abs_floor)
+    method = "laguerre"
+    if left:
+        for j in np.flatnonzero(open_):
+            res = _adaptive_fallback(signal, kernel, rel, abs_floor,
+                                     column=None if scalar else j)
+            value[j], error[j], method = res.value, res.error, res.method
+    if scalar:
+        return TransformResult(kind(value[0]), float(error[0]), top, method)
+    return TransformResult(value, error, top, method)
 
 
 def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel,
-                       rel: float, abs_floor: float) -> TransformResult:
-    """Standardized-variable adaptive quadrature, used when doubling fails."""
+                       rel: float, abs_floor: float,
+                       column: int | None = None) -> TransformResult:
+    """Standardized-variable adaptive quadrature, used when doubling fails,
+    on one ``column`` of a multi-column signal; detects complex values."""
     n, tau = kernel.n, kernel.tau
     root = math.sqrt(n)
     lg = float(gammaln(n))
+    is_complex = signal.complex_valued
 
     def density_times(u, part):
+        nonlocal is_complex
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
-            vals = np.asarray(signal.evaluate(tau * u))
+            vals = np.asarray(signal.evaluate(tau * np.atleast_1d(u)))[0]
+        vals = vals if column is None else vals[column]
+        is_complex = is_complex or np.iscomplexobj(vals)
         vals = vals.real if part == "re" else vals.imag
         with np.errstate(divide="ignore", invalid="ignore"):
             if n > 1:
@@ -481,7 +507,7 @@ def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel,
         return core + tail, core_err + tail_err
 
     re_val, re_err = integrate("re")
-    if signal.complex_valued:
+    if is_complex:
         im_val, im_err = integrate("im")
         value, err = complex(re_val, im_val), re_err + im_err
     else:

@@ -389,6 +389,32 @@ def test_quadrature_report_cross_checks_free_particle():
     assert cov[10, 0, 1] == pytest.approx(10 * 0.25 * 1.0 * 0.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("model", [HarmonicOscillator(), FreeParticle()])
+def test_quadrature_report_equals_one_observable_at_a_time(model):
+    # the report's single column signal must reproduce, bit for bit, a
+    # separate scalar transform of every observable
+    s = PhaseState([1.0, -0.4, 0.3], [0.2, 0.9, -0.5], [1.0, 1.0, 1.0])
+    k = GammaKernel(9, 0.35)
+    rep = quadrature_moments(model, s, k)
+
+    def alone(f):
+        return evolve_observable(model, s, f, k)
+
+    for i in range(3):
+        np.testing.assert_array_equal(rep.mean_positions[:, i],
+                                      alone(lambda x, p: x[..., i]))
+        np.testing.assert_array_equal(rep.mean_momenta[:, i],
+                                      alone(lambda x, p: p[..., i]))
+        for j in range(i, 3):
+            want = alone(lambda x, p: x[..., i] * x[..., j])
+            np.testing.assert_array_equal(rep.second_positions[:, i, j], want)
+            np.testing.assert_array_equal(rep.second_positions[:, j, i], want)
+            np.testing.assert_array_equal(
+                rep.second_momenta[:, i, j], alone(lambda x, p: p[..., i] * p[..., j]))
+    np.testing.assert_array_equal(
+        rep.energy, alone(lambda x, p: model.energy(x, p, s.masses)))
+
+
 def test_quadrature_energy_conserved_for_long_runs():
     s = PhaseState([1.0], [0.4], [1.0])
     k = GammaKernel(100, 0.4)

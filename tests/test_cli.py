@@ -192,6 +192,15 @@ def test_payload_bytes_identical_across_thread_counts(tmp_path):
     assert one != four  # metadata timestamps differ; payload must not
 
 
+def test_quadrature_payload_bytes_identical_across_thread_counts(tmp_path):
+    base = ["classical", "--model", "oscillator", "--route", "quadrature",
+            "--x", "1,0.5", "--p", "0,-0.7", "--n", "30", "--tau", "0.25"]
+    _, one = run_cli(base + ["--threads", "1"], tmp_path, "a.csv")
+    _, four = run_cli(base + ["--threads", "4"], tmp_path, "b.csv")
+    assert csv_payload(one) == csv_payload(four)
+    assert one != four
+
+
 def test_payload_depends_on_seed(tmp_path):
     base = ["transform", "--signal", "cos", "--n", "4", "--method",
             "monte-carlo", "--samples", "2000"]

@@ -8,6 +8,7 @@ from scipy.special import gammaln
 from scipy.stats import exponnorm, gamma as gamma_dist, kstest
 
 from dtmech import errors, kernel
+from dtmech._util import pairwise_dot, pairwise_sum
 from dtmech.kernel import (
     GammaKernel,
     QuadratureRule,
@@ -114,8 +115,6 @@ def test_rule_huge_shape_no_overflow():
 def test_rule_doubling_and_mismatch():
     ker = GammaKernel(3, 1.0)
     rule = QuadratureRule.for_kernel(ker)
-    assert rule.doubled().node_count == 2 * rule.node_count
-    assert rule.doubled().step_count == rule.step_count
     with pytest.raises(ValueError):
         transform_quadrature(constant_signal(), GammaKernel(4, 1.0), rule=rule)
 
@@ -203,6 +202,85 @@ def test_transform_divergent_screened():
         transform_quadrature(undeclared, GammaKernel(2, 1.0))
     with pytest.raises(errors.DivergentTransform):
         transform_monte_carlo(undeclared, GammaKernel(2, 1.0), samples=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# column signals: one pass per node count serves every column
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 129])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pairwise_reductions_are_columnwise_bit_identical(m, dtype):
+    rng = np.random.default_rng(m)
+    values = rng.normal(size=(m, 5)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=(m, 5))
+    weights = rng.random(m)
+    sums = pairwise_sum(values)
+    dots = pairwise_dot(weights, values)
+    assert sums.shape == dots.shape == (5,)
+    for j in range(5):
+        assert sums[j] == pairwise_sum(values[:, j])
+        assert dots[j] == pairwise_dot(weights, values[:, j])
+
+
+def _stacked(signals):
+    return kernel.TimeSignal(
+        lambda t: np.stack([s.evaluate(t) for s in signals], axis=1),
+        growth_rate=0.0, complex_valued=True, label="stacked")
+
+
+@pytest.mark.parametrize("n,tau,fast", [(1, 1.0, 40.0), (3, 0.5, 4.0),
+                                        (40, 0.25, 1.0)])
+def test_column_transform_matches_scalar_transforms(n, tau, fast):
+    # columns converge at different node counts; exp(40i t) at n = 1
+    # defeats doubling, so that column goes through the adaptive fallback
+    signals = [cosine_signal(0.5), cosine_signal(6.0), monomial_signal(2),
+               complex_exponential_signal(-2.0),
+               complex_exponential_signal(fast)]
+    ker = GammaKernel(n, tau)
+    scalars = [transform_quadrature(s, ker) for s in signals]
+    res = transform_quadrature(_stacked(signals), ker)
+    assert res.value.shape == res.error.shape == (len(signals),)
+    for j, one in enumerate(scalars):
+        assert abs(res.value[j] - one.value) <= res.error[j] + one.error
+        # each column is accepted where its scalar transform stops
+        assert res.value[j] == one.value and res.error[j] == one.error
+    assert res.node_count == max(one.node_count for one in scalars)
+    fell_back = any(one.method == "adaptive" for one in scalars)
+    assert res.method == ("adaptive" if fell_back else "laguerre")
+
+
+def test_column_transform_absorbs_declared_growth():
+    ker = GammaKernel(4, 0.5)
+    signal = kernel.TimeSignal(
+        lambda t: np.stack([np.exp(np.asarray(t)), np.cos(np.asarray(t))], axis=1),
+        growth_rate=1.0)
+    res = transform_quadrature(signal, ker)
+    np.testing.assert_allclose(res.value, [16.0, (1.0 / (1.0 - 0.5j) ** 4).real],
+                               rtol=1e-10)
+
+
+def test_screening_refuses_one_growing_column():
+    bounded = kernel.TimeSignal(
+        lambda t: np.stack([np.cos(np.asarray(t)), np.sin(np.asarray(t))], axis=1))
+    assert transform_quadrature(bounded, GammaKernel(2, 1.0)).value.shape == (2,)
+    one_grows = kernel.TimeSignal(
+        lambda t: np.stack([np.cos(np.asarray(t)), np.exp(2.0 * np.asarray(t))],
+                           axis=1))
+    with pytest.raises(errors.DivergentTransform):
+        transform_quadrature(one_grows, GammaKernel(2, 1.0))
+
+
+def test_fallback_keeps_undeclared_imaginary_part():
+    # exp(14i t) at n = 1 needs the adaptive fallback; the signal does not
+    # declare itself complex, so the fallback must notice from its values
+    undeclared = kernel.TimeSignal(lambda t: np.exp(14j * np.asarray(t)),
+                                   growth_rate=0.0)
+    res = transform_quadrature(undeclared, GammaKernel(1, 1.0))
+    assert res.method == "adaptive"
+    assert isinstance(res.value, complex)
+    assert abs(res.value - complex_exp_exact(1, 1.0, 14.0)) <= res.error
 
 
 def test_tabulated_signal_transform_and_range():

@@ -238,6 +238,15 @@ def test_equivalence_diagonal_state_is_exact():
     assert gamma_equivalence_check(diag, 7) == 0.0
 
 
+@pytest.mark.parametrize("gap", [13.0, 14.5])
+def test_equivalence_fallback_keeps_the_imaginary_part(gap):
+    # at n = 1 these phases defeat node doubling; the adaptive fallback
+    # used to integrate only the real part and miss by about 2e-2
+    dm = DensityMatrix([0.0, gap], np.array([[0.5, 0.3 - 0.2j],
+                                             [0.3 + 0.2j, 0.5]]))
+    assert gamma_equivalence_check(dm, 1) <= 1e-8
+
+
 def test_equivalence_random_four_level():
     dm = random_state(4, np.random.default_rng(19))
     assert gamma_equivalence_check(dm, 5) <= 1e-8
