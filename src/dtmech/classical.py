@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._util import deterministic_map
 from .errors import StiffnessFailure
 from .kernel import GammaKernel, TimeSignal, transform_quadrature
 
@@ -276,28 +275,23 @@ class MomentReport:
         # leave anything genuinely negative visible
         return np.where((raw < 0) & (raw > -1e-12 * scale), 0.0, raw)
 
-    def column_names(self) -> list[str]:
-        l = self.dof
-        names = ["n"]
-        names += [f"mean_x{i}" for i in range(l)]
-        names += [f"mean_p{i}" for i in range(l)]
-        names += [f"xx_{i}_{j}" for i in range(l) for j in range(i, l)]
-        names += [f"pp_{i}_{j}" for i in range(l) for j in range(i, l)]
-        names.append("energy")
-        return names
-
     def rows(self):
-        """Wide rows matching :meth:`column_names`, ordered by (n, i, j)."""
+        """Long rows ``[n, i, j, moment, value]``, step by step: ``mean_x``
+        and ``mean_p`` for each ``i``, ``second_x`` and ``second_p`` for each
+        ``i <= j``, then ``energy``; indices a moment lacks are ``None``."""
         l = self.dof
         pairs = [(i, j) for i in range(l) for j in range(i, l)]
         for k, n in enumerate(self.steps):
-            row = [int(n)]
-            row += [float(v) for v in self.mean_positions[k]]
-            row += [float(v) for v in self.mean_momenta[k]]
-            row += [float(self.second_positions[k, i, j]) for i, j in pairs]
-            row += [float(self.second_momenta[k, i, j]) for i, j in pairs]
-            row.append(float(self.energy[k]))
-            yield row
+            n = int(n)
+            for i in range(l):
+                yield [n, i, None, "mean_x", float(self.mean_positions[k, i])]
+            for i in range(l):
+                yield [n, i, None, "mean_p", float(self.mean_momenta[k, i])]
+            for i, j in pairs:
+                yield [n, i, j, "second_x", float(self.second_positions[k, i, j])]
+            for i, j in pairs:
+                yield [n, i, j, "second_p", float(self.second_momenta[k, i, j])]
+            yield [n, None, None, "energy", float(self.energy[k])]
 
 
 def _step_range(kernel: GammaKernel, steps: int | None) -> np.ndarray:
@@ -428,42 +422,35 @@ def observable_signal(trajectory: Trajectory, func,
 
 
 def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
-                      steps: int | None = None, growth_rate: float | None = None,
-                      threads: int | None = None) -> np.ndarray:
+                      steps: int | None = None,
+                      growth_rate: float | None = None) -> np.ndarray:
     """Smeared observable values over ``n = 0..steps``.
 
     Row ``n`` is the gamma transform (at step count ``n``) of the signal
     ``t -> func(x(t), p(t))``; row 0 is the deterministic initial value.
     A row holds ``k`` entries when ``func`` returns ``k`` columns.
-    Transforms for different ``n`` are independent and may run on a thread
-    pool; the output ordering and values do not depend on the thread count.
+    The trajectory is solved once, out to the farthest time the divergence
+    screening probes at the last step count (which also covers every live
+    Gauss--Laguerre node); only the adaptive fallback reaches further, and
+    an integrated trajectory grows for it on demand.
     """
     n_values = _step_range(kernel, steps)
-    t_span = kernel.tau * (n_values[-1] + 12.0 * math.sqrt(n_values[-1] + 1.0) + 80.0)
-    trajectory = model.trajectory(state, t_max=t_span)
+    last = n_values[-1]
+    # _screen_convergence's far window ends at u = 2 (n + 10 sqrt(n) + 50) + 1
+    horizon = 2.0 * kernel.tau * (last + 10.0 * math.sqrt(last + 1.0) + 51.0)
+    trajectory = model.trajectory(state, t_max=horizon)
     signal = observable_signal(trajectory, func, growth_rate=growth_rate)
     x0 = state.positions[None, :]
     p0 = state.momenta[None, :]
-    first = np.asarray(func(x0, p0), dtype=float)[0]
-
-    def one(n: int):
-        if n == 0:
-            return first
-        return transform_quadrature(signal, GammaKernel(int(n), kernel.tau)).value
-
-    if threads is not None and threads > 1 and not model.analytic:
-        # an ODE-backed trajectory grows in place when probed beyond its
-        # horizon, which is not safe to trigger from several threads at once;
-        # prime it once to the farthest time the screening probe can ask for
-        far = 2.0 * kernel.tau * (n_values[-1] + 10.0 * math.sqrt(n_values[-1] + 1.0) + 51.0)
-        trajectory.state_at(far)
-    values = deterministic_map(one, [int(n) for n in n_values], threads=threads)
+    values = [np.asarray(func(x0, p0), dtype=float)[0]]
+    for n in n_values[1:]:
+        values.append(
+            transform_quadrature(signal, GammaKernel(int(n), kernel.tau)).value)
     return np.asarray(values, dtype=float)
 
 
 def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
-                       steps: int | None = None,
-                       threads: int | None = None) -> MomentReport:
+                       steps: int | None = None) -> MomentReport:
     """Moment report computed entirely through the quadrature route.
 
     Exists to cross-check the closed forms: every mean and pair moment is a
@@ -482,8 +469,7 @@ def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
             cols.append(model.energy(x, p, state.masses)[:, None])
         return np.concatenate(cols, axis=1)
 
-    values = evolve_observable(model, state, columns, kernel, steps=steps,
-                               threads=threads)
+    values = evolve_observable(model, state, columns, kernel, steps=steps)
     pairs = iu.size
     second_x = np.empty((n_values.size, l, l))
     second_p = np.empty((n_values.size, l, l))

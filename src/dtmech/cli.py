@@ -19,11 +19,11 @@ files, invalid physics inputs), 3 when a numerical method honestly fails
 prints exactly one ``ErrorName: message`` line on stderr.
 
 Determinism: the payload (CSV rows / JSON ``data``) is a pure function of
-the configuration and seed.  Monte Carlo runs derive an independent
-generator per step count from ``(seed, n)``, so results are identical for
-any ``--threads`` value, byte for byte.  Metadata (timestamp and friends)
-lives only in the ``#`` preamble / ``meta`` key and never touches payload
-bytes.
+the configuration and seed.  ``--threads`` parallelises Monte Carlo
+transforms only; they derive an independent generator per step count from
+``(seed, n)``, so results are identical for any ``--threads`` value, byte
+for byte.  Metadata (timestamp and friends) lives only in the ``#``
+preamble / ``meta`` key and never touches payload bytes.
 
 Configuration files: ``--config FILE`` loads a JSON object whose keys are
 flag names (dashes or underscores); explicit command-line flags override
@@ -204,7 +204,6 @@ def _cmd_transform(args):
     signal = _build_signal(args)
     steps = _step_list(args)
     tau = args.tau
-    threads = resolve_thread_count(args.threads)
 
     if args.method == "monte-carlo":
         if args.seed is None:
@@ -218,7 +217,7 @@ def _cmd_transform(args):
             return (n, est.estimate, est.standard_error, samples,
                     "monte-carlo")
 
-        results = deterministic_map(one, steps, threads=threads)
+        results = deterministic_map(one, steps, threads=args.threads)
     else:
         results = []
         for n in steps:
@@ -252,14 +251,13 @@ def _cmd_classical(args):
     if last < 0:
         raise ConfigError(f"--n must be >= 0, got {last}")
     kern = GammaKernel(max(1, last), args.tau)
-    threads = resolve_thread_count(args.threads)
 
     if args.model == "free":
         if args.route == "closed":
             report = free_particle_moments(state, kern, steps=last)
         else:
             report = quadrature_moments(FreeParticle(), state, kern,
-                                        steps=last, threads=threads)
+                                        steps=last)
     else:
         if args.route == "closed":
             unit = args.omega == 1.0 and bool(np.all(masses == 1.0))
@@ -274,26 +272,10 @@ def _cmd_classical(args):
                                   "only; use --route closed for scaled "
                                   "oscillators")
             report = quadrature_moments(HarmonicOscillator(), state, kern,
-                                        steps=last, threads=threads)
+                                        steps=last)
 
     columns = ["n", "i", "j", "moment", "value"]
-    rows = []
-    dof = report.dof
-    for k, n in enumerate(report.steps):
-        n = int(n)
-        for i in range(dof):
-            rows.append([n, i, None, "mean_x", float(report.mean_positions[k, i])])
-        for i in range(dof):
-            rows.append([n, i, None, "mean_p", float(report.mean_momenta[k, i])])
-        for i in range(dof):
-            for j in range(i, dof):
-                rows.append([n, i, j, "second_x",
-                             float(report.second_positions[k, i, j])])
-        for i in range(dof):
-            for j in range(i, dof):
-                rows.append([n, i, j, "second_p",
-                             float(report.second_momenta[k, i, j])])
-        rows.append([n, None, None, "energy", float(report.energy[k])])
+    rows = list(report.rows())
     return {"columns": columns, "rows": rows}, {"source": report.source}
 
 
@@ -436,14 +418,7 @@ def _cmd_chaos_dt(args):
 
 
 def _cmd_alpha_scan(args):
-    try:
-        alphas = [float(part) for part in str(args.alphas).split(",")
-                  if part.strip()]
-    except ValueError:
-        raise ConfigError(f"--alphas: expected comma-separated numbers, "
-                          f"got {args.alphas!r}") from None
-    if not alphas:
-        raise ConfigError("--alphas: no values given")
+    alphas = _float_list(args.alphas, "--alphas")
     n_max = int(_need(args, "n_max", "--n-max"))
     if n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
@@ -487,7 +462,8 @@ def _common_parent() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="random seed; recorded in the metadata")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: DTMECH_THREADS or 1)")
+                   help="worker threads for Monte Carlo transforms (default: "
+                        "DTMECH_THREADS or 1); payloads do not depend on it")
     p.add_argument("--config", metavar="PATH", default=None,
                    help="JSON object of flag defaults; flags override")
     return p
@@ -685,13 +661,13 @@ def _run(argv: list[str]) -> int:
     if defaults:
         _apply_file_defaults(leaves, defaults)
     args = parser.parse_args(argv)
+    threads = resolve_thread_count(args.threads)
 
     payload, extra = args.handler(args)
 
     config_echo = {k: v for k, v in sorted(vars(args).items())
                    if k not in _META_EXCLUDED}
-    meta = build_meta(args.command_path, config_echo, args.seed,
-                      resolve_thread_count(args.threads))
+    meta = build_meta(args.command_path, config_echo, args.seed, threads)
     meta.update(extra)
 
     if "document" in payload:

@@ -330,6 +330,8 @@ class TransformResult(NamedTuple):
 
 
 class MonteCarloEstimate(NamedTuple):
+    """Sample mean and its standard error; length ``k`` for ``k`` columns."""
+
     estimate: complex | float
     standard_error: float
 
@@ -379,14 +381,13 @@ def _laguerre_estimate(signal: TimeSignal, kernel: GammaKernel, node_count: int)
 
 
 def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
-                         rule: QuadratureRule | None = None,
-                         abs_floor: float = ABSOLUTE_FLOOR) -> TransformResult:
+                         rule: QuadratureRule | None = None) -> TransformResult:
     """Smearing integral by generalized Gauss--Laguerre quadrature.
 
     Starts from ``rule`` (default ``max(32, ceil(4 sqrt(n)))`` nodes) and
     doubles the node count until two consecutive estimates agree to the
-    rule's relative target (or ``abs_floor`` absolutely); the difference of
-    the last doubling is reported as the error estimate.  If escalation stalls
+    rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely); the
+    difference of the last doubling is reported as the error estimate.  If escalation stalls
     — oscillatory signals with ``omega*tau*n`` large defeat polynomial rules —
     the integral is re-attempted in the standardized variable
     ``u = n + sqrt(n) s`` with adaptive panels before giving up.
@@ -415,15 +416,14 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
                                 label=signal.label + "|tilted")
         eff_kernel = GammaKernel(kernel.n, kernel.tau / shrink)
         prefactor = shrink ** (-float(kernel.n))
-        res = _transform_core(eff_signal, eff_kernel, rule, abs_floor)
+        res = _transform_core(eff_signal, eff_kernel, rule)
         return TransformResult(res.value * prefactor, res.error * prefactor,
                                res.node_count, res.method)
-    return _transform_core(signal, kernel, rule, abs_floor)
+    return _transform_core(signal, kernel, rule)
 
 
 def _transform_core(signal: TimeSignal, kernel: GammaKernel,
-                    rule: QuadratureRule | None,
-                    abs_floor: float) -> TransformResult:
+                    rule: QuadratureRule | None) -> TransformResult:
     """Node doubling over every column of the signal at once.
 
     A column keeps the value and error of the first doubling that meets the
@@ -450,7 +450,7 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
         m *= 2
         cur = np.atleast_1d(_laguerre_estimate(signal, kernel, m))
         err = modulus(cur - prev)
-        accept = open_ & (err <= np.maximum(rel * modulus(cur), abs_floor))
+        accept = open_ & (err <= np.maximum(rel * modulus(cur), ABSOLUTE_FLOOR))
         kept = int(np.count_nonzero(accept))
         if kept:
             value[accept] = cur[accept]
@@ -461,7 +461,7 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
     method = "laguerre"
     if left:
         for j in np.flatnonzero(open_):
-            res = _adaptive_fallback(signal, kernel, rel, abs_floor,
+            res = _adaptive_fallback(signal, kernel, rel,
                                      column=None if scalar else j)
             value[j], error[j], method = res.value, res.error, res.method
     if scalar:
@@ -469,8 +469,7 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
     return TransformResult(value, error, top, method)
 
 
-def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel,
-                       rel: float, abs_floor: float,
+def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel, rel: float,
                        column: int | None = None) -> TransformResult:
     """Standardized-variable adaptive quadrature, used when doubling fails,
     on one ``column`` of a multi-column signal; detects complex values."""
@@ -512,7 +511,8 @@ def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel,
         value, err = complex(re_val, im_val), re_err + im_err
     else:
         value, err = re_val, re_err
-    ceiling = max(rel * abs(value), FALLBACK_RELATIVE * abs(value), abs_floor)
+    ceiling = max(rel * abs(value), FALLBACK_RELATIVE * abs(value),
+                  ABSOLUTE_FLOOR)
     if not np.isfinite(err) or not np.isfinite(abs(value)) or err > ceiling:
         raise QuadratureNotConverged(
             f"adaptive fallback error {err:.3e} exceeds {ceiling:.3e} "
@@ -574,7 +574,10 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     The estimate is the sample mean of ``F(tau * U_i)`` with
     ``U_i ~ Gamma(n, 1)`` and the reported uncertainty is the standard error
     of that mean.  Reductions run through the fixed pairwise tree, so a given
-    seed reproduces the estimate bit for bit.
+    seed reproduces the estimate bit for bit.  The estimate is complex when
+    the signal is flagged complex or returns complex values; a signal with
+    ``k`` columns gives length-``k`` estimates and standard errors, each
+    equal to its column's own.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
@@ -584,13 +587,12 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     values = np.asarray(signal.evaluate(kernel.tau * u))
     mean = pairwise_sum(values) / samples
     resid = values - mean
-    var = float(np.real(pairwise_sum(np.abs(resid) ** 2))) / (samples - 1)
-    stderr = math.sqrt(var / samples)
-    if not signal.complex_valued:
-        mean = float(np.real(mean))
-    else:
-        mean = complex(mean)
-    return MonteCarloEstimate(mean, stderr)
+    var = np.real(pairwise_sum(np.abs(resid) ** 2)) / (samples - 1)
+    stderr = np.sqrt(var / samples)
+    kind = complex if signal.complex_valued or np.iscomplexobj(values) else float
+    if np.ndim(mean) == 0:
+        return MonteCarloEstimate(kind(mean), float(stderr))
+    return MonteCarloEstimate(mean.astype(kind), stderr)
 
 
 # ---------------------------------------------------------------------------

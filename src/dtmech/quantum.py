@@ -249,8 +249,7 @@ def decoherence_report(dm: DensityMatrix, steps,
 
 
 def gamma_equivalence_check(dm: DensityMatrix, n: int,
-                            constants: PhysicalConstants = NATURAL,
-                            rule=None) -> float:
+                            constants: PhysicalConstants = NATURAL) -> float:
     """Max entrywise gap between stepped evolution and the smeared phases.
 
     Every coefficient's continuous motion is a pure phase
@@ -270,7 +269,7 @@ def gamma_equivalence_check(dm: DensityMatrix, n: int,
     signal = TimeSignal(
         lambda t: coeffs * np.exp(np.asarray(t)[:, None] * phases),
         growth_rate=0.0, complex_valued=True, label="coherence-phase")
-    res = transform_quadrature(signal, GammaKernel(n, constants.tau), rule=rule)
+    res = transform_quadrature(signal, GammaKernel(n, constants.tau))
     return float(np.max(modulus(res.value - evolved[live])))
 
 

@@ -130,11 +130,6 @@ def csv_payload(text: str) -> str:
                    if line and not line.startswith("#"))
 
 
-def json_payload(text: str) -> str:
-    """Canonical bytes of the ``data`` section of a JSON report."""
-    return json.dumps(json.loads(text)["data"], sort_keys=True)
-
-
 def write_report(text: str, path: str | None) -> None:
     """Write the report to ``path`` atomically, or to stdout if no path.
 

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from dtmech import (FreeParticle, GammaKernel, HarmonicOscillator, PhaseState,
+                    free_particle_moments, quadrature_moments, sho_moments)
 from dtmech.cli import main
 from dtmech.report import csv_payload
 
@@ -209,6 +211,16 @@ def test_payload_depends_on_seed(tmp_path):
     assert csv_payload(a) != csv_payload(b)
 
 
+def test_zero_threads_exit_2_on_every_route(capsys):
+    base = ["classical", "--model", "oscillator", "--x", "1", "--p", "0",
+            "--n", "3", "--threads", "0"]
+    for route in ("closed", "quadrature"):
+        assert run_cli(base + ["--route", route]) == (2, None)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ValueError: thread count must be >= 1")
+
+
 def test_threads_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("DTMECH_THREADS", "3")
     code, text = run_cli(["transform", "--signal", "cos", "--n", "1",
@@ -299,6 +311,31 @@ def test_classical_quadrature_route_matches_closed(tmp_path):
     for a, b in zip(rc, rq):
         assert a[:4] == b[:4]
         assert float(a[4]) == pytest.approx(float(b[4]), rel=1e-6, abs=1e-9)
+
+
+_CLASSICAL_REPORTS = {
+    ("closed", "free"): lambda s, k: free_particle_moments(s, k, steps=4),
+    ("closed", "oscillator"): lambda s, k: sho_moments(s, k, steps=4),
+    ("quadrature", "free"):
+        lambda s, k: quadrature_moments(FreeParticle(), s, k, steps=4),
+    ("quadrature", "oscillator"):
+        lambda s, k: quadrature_moments(HarmonicOscillator(), s, k, steps=4),
+}
+
+
+@pytest.mark.parametrize("route, model", sorted(_CLASSICAL_REPORTS))
+def test_classical_rows_are_the_report_rows(tmp_path, route, model):
+    code, text = run_cli(["classical", "--model", model, "--route", route,
+                          "--x", "1,-0.5", "--p", "0.25,0.75", "--n", "4",
+                          "--tau", "0.3", "--format", "json"], tmp_path)
+    assert code == 0
+    data = json.loads(text)["data"]
+    assert data["columns"] == ["n", "i", "j", "moment", "value"]
+    state = PhaseState([1.0, -0.5], [0.25, 0.75], [1.0, 1.0])
+    report = _CLASSICAL_REPORTS[route, model](state, GammaKernel(4, 0.3))
+    want = list(report.rows())
+    assert data["rows"] == want
+    assert [type(v) for v in want[0]] == [int, int, type(None), str, float]
 
 
 def test_classical_needs_state_flags(capsys):
@@ -510,6 +547,14 @@ def test_alpha_scan_backward_scheme_stays_nonnegative(tmp_path):
         else:
             assert delta == pytest.approx((-1.0) ** n, rel=1e-12)
             assert grid_min < -1e-3
+
+
+def test_alpha_scan_bad_alphas_is_one_config_error(capsys):
+    code, _ = run_cli(["alpha-scan", "--alphas", "0,x", "--n-max", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ConfigError: --alphas: ")
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,33 @@ def test_monte_carlo_complex_signal():
     assert abs(est.estimate - exact) < 4.0 * est.standard_error
 
 
+def test_monte_carlo_keeps_undeclared_imaginary_part():
+    # complex values without the complex_valued flag
+    sig = kernel.TimeSignal(lambda t: np.exp(1j * np.asarray(t)),
+                            growth_rate=0.0)
+    est = transform_monte_carlo(sig, GammaKernel(2, 0.5), samples=20000,
+                                seed=5)
+    assert isinstance(est.estimate, complex)
+    exact = complex_exp_exact(2, 0.5, 1.0)  # 0.48 + 0.64i
+    assert abs(est.estimate - exact) <= 6.0 * est.standard_error
+
+
+def test_monte_carlo_columns_equal_scalar_estimates():
+    ker = GammaKernel(7, 0.3)
+    both = kernel.TimeSignal(
+        lambda t: np.stack([np.cos(1.3 * t), np.sin(1.3 * t)], axis=1),
+        growth_rate=0.0)
+    sin = kernel.TimeSignal(lambda t: np.sin(1.3 * t), growth_rate=0.0)
+    est = transform_monte_carlo(both, ker, samples=5000, seed=17)
+    assert est.estimate.shape == est.standard_error.shape == (2,)
+    for j, sig in enumerate((cosine_signal(1.3), sin)):
+        one = transform_monte_carlo(sig, ker, samples=5000, seed=17)
+        assert type(one.estimate) is float
+        assert type(one.standard_error) is float
+        assert est.estimate[j] == one.estimate
+        assert est.standard_error[j] == one.standard_error
+
+
 # ---------------------------------------------------------------------------
 # step schemes
 
