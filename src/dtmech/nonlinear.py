@@ -198,10 +198,12 @@ class ChirpedExpectation(NamedTuple):
     method: str
 
 
-def _log_sine_envelope(v: float, n: int, lam: float) -> float:
-    # envelope of the v-space integrand: (ln v)^(n-1) v^(-1/lam) / (Gamma(n) lam^n)
+def _log_sine_envelope(v: float, n: int, lam: float, lg: float,
+                       n_log_lam: float) -> float:
+    # envelope of the v-space integrand: (ln v)^(n-1) v^(-1/lam) / (Gamma(n) lam^n),
+    # with lg = ln Gamma(n) and n_log_lam = n ln lam computed once by the caller
     lv = math.log(v)
-    out = -lv / lam - gammaln(n) - n * math.log(lam)
+    out = -lv / lam - lg - n_log_lam
     if n > 1:
         if lv <= 0.0:
             return -math.inf
@@ -220,15 +222,18 @@ def _panel_tier(n: int, lam: float, b: float) -> tuple[float, float]:
     would quietly converge on zero.  Returns (value, error bound), the
     error combining panel roundoff and the uncovered gamma tail.
     """
+    lg = gammaln(n)
+    n_log_lam = n * math.log(lam)
 
     def envelope(v: float) -> float:
         if v < 1.0:
             return 0.0
-        le = _log_sine_envelope(v, n, lam)
+        le = _log_sine_envelope(v, n, lam, lg, n_log_lam)
         return math.exp(le) if le > -745.0 else 0.0
 
     v_peak = math.exp(min(lam * max(n - 1, 1), 700.0))
-    log_peak = _log_sine_envelope(max(v_peak, 1.0 + 1e-12), n, lam)
+    log_peak = _log_sine_envelope(max(v_peak, 1.0 + 1e-12), n, lam, lg,
+                                  n_log_lam)
     # coverage needed in u for the envelope to die under the (1-lam) decay
     u_stop = (n + 14.0 * math.sqrt(n) + 80.0) / (1.0 - lam)
     total = err = 0.0
@@ -245,7 +250,8 @@ def _panel_tier(n: int, lam: float, b: float) -> tuple[float, float]:
         err += e
         lo = hi
         u_covered = math.log(lo) / lam
-        if lo > v_peak and (_log_sine_envelope(lo, n, lam) - log_peak) < -60.0:
+        if lo > v_peak and (_log_sine_envelope(lo, n, lam, lg, n_log_lam)
+                            - log_peak) < -60.0:
             break
         if u_covered > u_stop:
             break

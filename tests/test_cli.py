@@ -57,6 +57,19 @@ def test_transform_range_rows(tmp_path):
         assert float(r[1]) == pytest.approx(0.25 * n * (n + 1), rel=1e-10)
 
 
+def test_one_node_start_needs_two_evaluations(tmp_path):
+    # the one-node rule sits at the weight mean, which is exact for t, so
+    # the first doubling (to 2 nodes) already agrees
+    code, text = run_cli(["transform", "--signal", "poly", "--degree", "1",
+                          "--n-range", "1:4", "--tau", "1", "--nodes", "1"],
+                         tmp_path)
+    assert code == 0
+    _, rows = payload_rows(text)
+    assert [int(r[3]) for r in rows] == [2, 2, 2, 2]
+    for r in rows:
+        assert float(r[1]) == pytest.approx(int(r[0]), rel=1e-12)
+
+
 def test_csv_is_crlf_with_commented_preamble(tmp_path):
     code, text = run_cli(["transform", "--signal", "cos", "--n", "3"],
                          tmp_path)
@@ -570,6 +583,22 @@ def test_module_invocation_round_trip(tmp_path):
     assert proc.returncode == 0
     _, rows = payload_rows(out.read_bytes().decode())
     assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_fallback_warnings_stay_off_stderr(tmp_path):
+    # quad warns on roundoff while the fallback walks off a short cos table;
+    # stderr must still carry only the one error line
+    table = tmp_path / "cos.csv"
+    t = np.linspace(0, 200, 4001)
+    rows = "\n".join(f"{ti},{vi}" for ti, vi in zip(t, np.cos(t)))
+    table.write_text("t,value\n" + rows + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtmech", "transform", "--signal", "table",
+         "--table", str(table), "--n", "5", "--tau", "1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("ValueError: tabulated signal spans")
 
 
 def test_no_stray_temp_files(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.linalg import eig_banded
 from scipy.special import gammaln
 from scipy.stats import exponnorm, gamma as gamma_dist, kstest
 
@@ -110,6 +111,36 @@ def test_rule_huge_shape_no_overflow():
     rule = QuadratureRule.for_kernel(GammaKernel(400, 1.0), node_count=64)
     assert np.all(np.isfinite(rule.nodes))
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", [0, 1, 7, 399])
+def test_one_node_rule_sits_at_the_weight_mean(shape):
+    # the one-node Gauss rule is exact for linear integrands: node = mean
+    nodes, weights = kernel._laguerre_rule(1, shape)
+    assert nodes.tolist() == [shape + 1.0]
+    assert weights.tolist() == [1.0]
+
+
+def test_rule_matches_banded_solver_bit_for_bit(monkeypatch):
+    # the tridiagonal solver must reproduce the banded solver's rules to the
+    # last bit, junk-weight guard included, so no transform output moves
+    def banded(diag, off, lapack_driver):
+        band = np.zeros((2, diag.size))
+        band[0, 1:] = off
+        band[1, :] = diag
+        return eig_banded(band, lower=False)
+
+    shapes = (0, 1, 98, 399, 799, 1599)
+    # at m = 2048 each banded build takes about 0.5 s: three shapes there
+    cases = [(m, s) for m in (2, 3, 32, 101, 128, 190, 229, 512) for s in shapes]
+    cases += [(2048, s) for s in (0, 399, 1599)]
+    for m, shape in cases:
+        nodes, weights = kernel._laguerre_rule(m, shape)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "eigh_tridiagonal", banded)
+            ref_nodes, ref_weights = kernel._laguerre_rule.__wrapped__(m, shape)
+        assert np.array_equal(nodes, ref_nodes), (m, shape)
+        assert np.array_equal(weights, ref_weights), (m, shape)
 
 
 def test_rule_doubling_and_mismatch():
