@@ -16,23 +16,23 @@ bounds it by ``2/(b c tau sqrt(1 - a^2))`` uniformly in ``n``; the code
 computes the pre-parts form directly so that bound stays a falsifiable
 claim rather than an identity of the implementation.
 
-Numerically the smeared expectation is a chirped oscillatory integral.  Two
-tiers cover it: substitution ``v = e^{c tau u}`` turns it into a fixed-
-frequency sine integral handled by weighted panels over geometric octaves,
-which is exact bookkeeping until the value sinks below the roundoff of the
-panel sums; past that point the integrand's single complex saddle (on the
-first strip of the phase) gives the value by steepest descent, with the two
-tiers agreeing to ~1e-4 or better where their domains overlap.
+Numerically the smeared expectation is a chirped oscillatory integral.  One
+rule covers it: the integrand is analytic, so the path of integration turns
+off the real axis, rises to a height Y and runs parallel to it, where the
+chirp becomes a doubly exponential damping and nothing oscillates.  Fixed
+Gauss--Legendre panels on both legs, doubled until two resolutions agree,
+give the value together with its log-magnitude, which stays meaningful
+after the value underflows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaln
 
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
 from .kernel import GammaKernel
@@ -57,12 +57,17 @@ __all__ = [
 FIT_RESIDUAL_LIMIT = 2.0
 # samples with |sin(phase)| below this would inject -inf spikes into log fits
 PHASE_NODE_CUTOFF = 0.05
-# a panel value at most this many times its accumulated roundoff is treated
-# as indistinguishable from zero and handed to the saddle tier
-ROUNDOFF_MARGIN = 20.0
-# below this step count the single-saddle asymptotics are not trustworthy
-# (validated against high-precision oracles across the growth range)
-SADDLE_MIN_STEPS = 20
+# chirped expectation: points per Gauss--Legendre panel, heights of the
+# horizontal leg as fractions of pi/(2 lam) (the lowest one serves growth
+# per step below about 0.01), panels per leg of the height probe and at
+# most, the relative error target, and b e^{lam X} at the path's end X
+CONTOUR_NODES = 32
+CONTOUR_HEIGHTS = (1 / 1024, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
+CONTOUR_PROBE_PANELS = 8
+CONTOUR_MAX_PANELS = 1024
+CHIRP_REL_TARGET = 1e-10
+CONTOUR_END = 12.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -188,8 +193,9 @@ class ChirpedExpectation(NamedTuple):
     """E[e^{lam U} sin(b e^{lam U})] for U ~ gamma(n), with bookkeeping.
 
     ``log_magnitude`` stays meaningful even when ``value`` underflows;
-    ``error`` is the accumulated quadrature roundoff plus tail bound for the
-    panel tier, and a cross-resolution spread for the saddle tier.
+    ``error`` is the spread of the contour sum against half as many panels,
+    plus a bound on the tail past the path's end and on the rounding of the
+    sum, of each term's exponent and of ``value`` itself.
     """
 
     value: float
@@ -198,130 +204,61 @@ class ChirpedExpectation(NamedTuple):
     method: str
 
 
-def _log_sine_envelope(v: float, n: int, lam: float, lg: float,
-                       n_log_lam: float) -> float:
-    # envelope of the v-space integrand: (ln v)^(n-1) v^(-1/lam) / (Gamma(n) lam^n),
-    # with lg = ln Gamma(n) and n_log_lam = n ln lam computed once by the caller
-    lv = math.log(v)
-    out = -lv / lam - lg - n_log_lam
-    if n > 1:
-        if lv <= 0.0:
-            return -math.inf
-        out += (n - 1) * math.log(lv)
-    return out
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The CONTOUR_NODES-point Gauss--Legendre rule on [0, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(CONTOUR_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _panel_tier(n: int, lam: float, b: float) -> tuple[float, float]:
-    """Octave-panel sine quadrature of the v-substituted integral.
+def _legendre_panels(panels: int, length: float):
+    """Nodes and weights of ``panels`` equal Gauss--Legendre panels on [0, length]."""
+    x, w = _legendre_rule()
+    h = length / panels
+    nodes = (np.arange(panels)[:, None] + x).ravel() * h
+    return nodes, np.tile(w * h, panels)
 
-    Substituting v = e^{lam u} freezes the oscillation to sin(b v) with the
-    smooth envelope of :func:`_log_sine_envelope`, integrated from 1 (the
-    envelope's one-sided limit at v = 1 is kept — weighted panels evaluate
-    their endpoints).  One geometric octave at a time keeps every panel
-    within the weighted rule's resolving power; a single giant interval
-    would quietly converge on zero.  Returns (value, error bound), the
-    error combining panel roundoff and the uncovered gamma tail.
+
+def _contour_log_terms(n: int, lam: float, b: float, height: float,
+                       length: float, panels: int):
+    """Weights and log-integrand on the path 0 -> iY -> iY + X.
+
+    Y is ``height`` and X is ``length``.  The third array bounds the
+    log-integrand's parts and their change under a relative nudge of the
+    node: eps times it bounds the rounding of each computed exponent, and
+    so the relative rounding of each term.
     """
-    lg = gammaln(n)
-    n_log_lam = n * math.log(lam)
-
-    def envelope(v: float) -> float:
-        if v < 1.0:
-            return 0.0
-        le = _log_sine_envelope(v, n, lam, lg, n_log_lam)
-        return math.exp(le) if le > -745.0 else 0.0
-
-    v_peak = math.exp(min(lam * max(n - 1, 1), 700.0))
-    log_peak = _log_sine_envelope(max(v_peak, 1.0 + 1e-12), n, lam, lg,
-                                  n_log_lam)
-    # coverage needed in u for the envelope to die under the (1-lam) decay
-    u_stop = (n + 14.0 * math.sqrt(n) + 80.0) / (1.0 - lam)
-    total = err = 0.0
-    lo = 1.0
-    u_covered = 0.0
-    for _ in range(400):
-        hi = 2.0 * lo
-        val, e = quad(envelope, lo, hi, weight="sin", wvar=b, limit=200)
-        if e > 1e3 * (abs(val) + 1e-300) and lo > v_peak:
-            # the weighted rule broke down on this distant octave; keep the
-            # certified part and let the tail bound own the rest
-            break
-        total += val
-        err += e
-        lo = hi
-        u_covered = math.log(lo) / lam
-        if lo > v_peak and (_log_sine_envelope(lo, n, lam, lg, n_log_lam)
-                            - log_peak) < -60.0:
-            break
-        if u_covered > u_stop:
-            break
-    tail = math.exp(-n * math.log1p(-lam)) \
-        * float(gammaincc(n, (1.0 - lam) * u_covered))
-    return total, err + tail
-
-
-def _saddle_tier(n: int, lam: float, b: float,
-                 resolution: int = 8001) -> tuple[float, float, float]:
-    """Steepest-descent evaluation through the first-strip complex saddle.
-
-    The analytic integrand exp(h(u)) with h = (n-1) ln u - (1-lam) u
-    + i b e^{lam u} has one saddle reachable from the real axis, in the
-    strip 0 < lam Im(u) < pi.  Damped Newton lands on it; the integral is
-    then a straight-line pass along the local descent direction.  Returns
-    (value, log-magnitude, phase-sensitivity scale) — the value is the
-    imaginary part, so its absolute uncertainty is the magnitude times the
-    phase error.
-    """
-
-    def dh(u):
-        return (n - 1) / u - (1.0 - lam) + 1j * b * lam * np.exp(lam * u)
-
-    def d2h(u):
-        return -(n - 1) / u ** 2 + 1j * b * lam * lam * np.exp(lam * u)
-
-    def h(z):
-        return (n - 1) * np.log(z) - (1.0 - lam) * z + 1j * b * np.exp(lam * z)
-
-    start = math.log(max(n, 2) / (b * max(math.log(max(n, 3)), 1.0)))
-    u = complex(start, 0.5 * math.pi) / lam
-    converged = False
-    for _ in range(200):
-        step = dh(u) / d2h(u)
-        if abs(step) > 0.5 * abs(u):
-            step *= 0.5 * abs(u) / abs(step)
-        u -= step
-        if abs(step) < 1e-14 * abs(u):
-            converged = True
-            break
-    if not converged or not (0.0 < lam * u.imag < math.pi) or u.real <= 0.0:
-        raise QuadratureNotConverged(
-            f"saddle search failed for n={n}, growth {lam}")
-    curvature = d2h(u)
-    angle = 0.5 * (math.pi - np.angle(curvature))
-    span = 10.0 / math.sqrt(abs(curvature))
-    s = np.linspace(-span, span, resolution)
-    path = u + np.exp(1j * angle) * s
-    rel = h(path) - h(u)
-    good = np.real(rel) < 50.0  # discard any off-descent growth
-    integrand = np.where(good, np.exp(np.where(good, rel, 0.0)), 0.0)
-    q = np.trapezoid(integrand, s) * np.exp(1j * angle)
-    log_mag_exp = float(np.real(h(u))) - float(gammaln(n)) + math.log(abs(q))
-    phase = float(np.imag(h(u)) + np.angle(q))
-    sine = math.sin(phase)
-    value = math.exp(log_mag_exp) * sine if log_mag_exp > -700.0 else 0.0
-    log_magnitude = (log_mag_exp + math.log(abs(sine))) if sine != 0.0 \
-        else -math.inf
-    return value, log_magnitude, math.exp(max(log_mag_exp, -745.0))
+    s, ws = _legendre_panels(panels, height)
+    x, wx = _legendre_panels(panels, length)
+    u = np.concatenate((1j * s, x + 1j * height))
+    weights = np.concatenate((1j * ws, wx))
+    log_u = (n - 1) * np.log(u)
+    chirp = 1j * b * np.exp(lam * u)
+    log_f = log_u - (1.0 - lam) * u + chirp
+    size = np.abs(u)
+    size = np.abs(log_u) + (n - 1) + (1.0 - lam) * size \
+        + np.abs(chirp) * (1.0 + lam * size)
+    return weights, log_f, size
 
 
 def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation:
     """E[e^{lam U} sin(b e^{lam U})], U ~ gamma(n), for 0 < lam < 1.
 
-    Panel quadrature first — exact accounting down to its roundoff floor,
-    which it self-diagnoses through the accumulated panel error.  A value
-    within :data:`ROUNDOFF_MARGIN` of that floor is re-derived through the
-    complex saddle, which tracks the true (superexponentially small)
-    magnitude instead of the floor.
+    The expectation is Im (1/Gamma(n)) int_0^inf f(u) du with the analytic
+    f(u) = u^(n-1) e^{-(1-lam) u} exp(i b e^{lam u}), which vanishes as
+    Re u -> inf throughout 0 <= lam Im u <= pi/2.  The integral therefore
+    runs along 0 -> iY -> iY + X, with b e^{lam X} = e^CONTOUR_END (or
+    lam X = :data:`CONTOUR_END` for b > 1): on the horizontal leg the
+    chirp turns into the damping exp(-b e^{lam x} sin(lam Y)), which at X
+    leaves a tail that is bounded and counted in the error.  Y is the
+    fraction of pi/(2 lam) in :data:`CONTOUR_HEIGHTS` whose probe has the
+    lowest peak log-magnitude, the least cancellation.  Both legs get equal
+    Gauss--Legendre panels, doubled until the spread against half as many
+    panels, the tail and the summation roundoff add up to at most
+    :data:`CHIRP_REL_TARGET` of the value; past :data:`CONTOUR_MAX_PANELS`
+    the call raises :class:`QuadratureNotConverged`.  The reported error
+    adds the rounding of each term's exponent, which more panels cannot
+    shrink.
     """
     n = int(n)
     if n < 1:
@@ -331,24 +268,64 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
             f"smeared growth requires growth*tau in (0, 1), got {lam!r}")
     if not (b > 0 and math.isfinite(b)):
         raise ValueError(f"phase parameter must be finite and > 0, got {b!r}")
-    value, err = _panel_tier(n, lam, b)
-    if abs(value) > ROUNDOFF_MARGIN * err:
-        log_mag = math.log(abs(value)) if value != 0.0 else -math.inf
-        return ChirpedExpectation(value, log_mag, err, "oscillatory-panels")
-    if n < SADDLE_MIN_STEPS:
-        raise QuadratureNotConverged(
-            f"panel quadrature lost the value for n={n} (|{value:.2e}| vs "
-            f"roundoff {err:.2e}) and the saddle asymptotics need "
-            f"n >= {SADDLE_MIN_STEPS}", value=value, error=err)
-    try:
-        val, log_mag, mag_scale = _saddle_tier(n, lam, b)
-        val2, log_mag2, _ = _saddle_tier(n, lam, b, resolution=16001)
-    except QuadratureNotConverged as exc:
-        raise QuadratureNotConverged(
-            f"{exc}; panel tier had |{value:.2e}| vs roundoff {err:.2e}",
-            value=value, error=err) from None
-    spread = abs(val - val2) + abs(mag_scale) * 1e-9
-    return ChirpedExpectation(val2, log_mag2, spread, "saddle-point")
+    # lam X: where b e^{lam X} reaches e^CONTOUR_END, or CONTOUR_END
+    reach = CONTOUR_END + max(0.0, -math.log(b))
+    x_end = reach / lam
+    probes = []
+    for frac in CONTOUR_HEIGHTS:
+        height = frac * 0.5 * math.pi / lam
+        weights, log_f, _ = _contour_log_terms(n, lam, b, height, x_end,
+                                               CONTOUR_PROBE_PANELS)
+        probes.append((float(np.max(log_f.real)), height, weights, log_f))
+    peak, height, weights, log_f = min(probes, key=lambda p: p[0])
+    # every resolution is scaled by the probe's peak, so the sums compare
+    coarse = float(np.sum(weights * np.exp(log_f - peak)).imag)
+    # past the end X of the path, log|f| falls at least at this rate, which
+    # bounds the part of the integral left out
+    damping = b * math.exp(reach) * math.sin(lam * height)
+    rate = 1.0 - lam + lam * damping - (n - 1) / x_end
+    tail = math.exp((n - 1) * math.log(math.hypot(x_end, height))
+                    - (1.0 - lam) * x_end - damping - peak) / rate \
+        if rate > 0.0 else math.inf
+    log_scale = peak - math.lgamma(n)
+    panels = CONTOUR_PROBE_PANELS
+    while True:
+        panels *= 2
+        weights, log_f, size = _contour_log_terms(n, lam, b, height, x_end,
+                                                  panels)
+        terms = weights * np.exp(log_f - peak)
+        fine = float(np.sum(terms).imag)
+        magnitude = np.abs(terms)
+        error = abs(fine - coarse) + tail \
+            + _EPS * math.log2(terms.size) * float(np.sum(magnitude))
+        if error <= CHIRP_REL_TARGET * abs(fine):
+            # the rounding of each term's exponent does not shrink with
+            # more panels: it joins the reported error, not the target
+            error += _EPS * float(np.sum(magnitude * (abs(peak) + size)))
+            break
+        if panels >= CONTOUR_MAX_PANELS:
+            value = _rescaled(fine, log_scale)
+            error = _rescaled(error, log_scale)
+            raise QuadratureNotConverged(
+                f"contour quadrature for n={n}, growth {lam}, phase {b} "
+                f"missed its target at {panels} panels per leg: "
+                f"{value:.3e} +- {error:.2e}", value=value, error=error)
+        coarse = fine
+    log_magnitude = math.log(abs(fine)) + log_scale if fine else -math.inf
+    value = _rescaled(fine, log_scale)
+    # the last term covers the rounding of the value itself, which is all
+    # that is left of it once it underflows
+    return ChirpedExpectation(value, log_magnitude,
+                              _rescaled(error, log_scale) + math.ulp(value),
+                              "contour")
+
+
+def _rescaled(x: float, log_scale: float) -> float:
+    """x * e^log_scale without overflow in the scale: inf past the float range."""
+    if x == 0.0:
+        return 0.0
+    log_abs = math.log(abs(x)) + log_scale
+    return math.copysign(math.inf if log_abs > 709.0 else math.exp(log_abs), x)
 
 
 def _growth_parameter(model: SensitivityModel, kernel: GammaKernel) -> float:

@@ -547,6 +547,27 @@ def test_chaos_dt_curve_without_fit(tmp_path):
     assert all(float(r[1]) >= 0 for r in rows)
 
 
+def test_chaos_dt_steep_growth_at_one_step(tmp_path):
+    # growth 0.95 per step: mpmath gives 0.61327682883223399 * 2/sqrt(3)
+    code, text = run_cli(["chaos", "dt", "--a", "0.5", "--tau", "0.95",
+                          "--n-max", "3", "--no-fit"], tmp_path)
+    assert code == 0
+    _, rows = payload_rows(text)
+    assert float(rows[0][1]) == pytest.approx(0.70815108442810067, rel=1e-12)
+
+
+def test_chaos_dt_row_off_half_matches_mpmath(tmp_path):
+    # a = cos(1.047): the distance at n = 300 is about 5e-168, from mpmath
+    code, text = run_cli(["chaos", "dt", "--a", "0.5001710745970701",
+                          "--tau", "0.1", "--n-max", "300", "--no-fit"],
+                         tmp_path)
+    assert code == 0
+    _, rows = payload_rows(text)
+    assert int(rows[-1][0]) == 300
+    assert float(rows[-1][1]) == pytest.approx(5.3936759355770687e-168,
+                                               rel=1e-12)
+
+
 def test_alpha_scan_backward_scheme_stays_nonnegative(tmp_path):
     code, text = run_cli(["alpha-scan", "--alphas", "0,0.5", "--n-max", "2",
                           "--format", "json"], tmp_path)

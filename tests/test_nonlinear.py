@@ -25,8 +25,7 @@ from dtmech import (
     power_law_map,
     transform_quadrature,
 )
-from dtmech.nonlinear import (FIT_RESIDUAL_LIMIT, LyapunovEstimate,
-                              _panel_tier, _saddle_tier)
+from dtmech.nonlinear import FIT_RESIDUAL_LIMIT, LyapunovEstimate
 
 HALF = SensitivityModel(a=0.5, c=1.0)
 B_HALF = math.acos(0.5)
@@ -54,6 +53,21 @@ CHIRP_ORACLE_STEEP = {
     (60, 0.5): -7.204959e-43,
     (20, 0.7): 7.1308e-12,
     (20, 0.9): 1.642444e-13,
+}
+# mpmath at 40 digits along 0 -> iY -> iY + 12/lam, at Y = pi/(3 lam) and
+# at Y = 5 pi/(12 lam), heights the library never takes; the two agree to
+# every digit below.  The two-tier engine this library used to have (sine
+# panels, then a complex saddle) returned wrong values with tight error bars
+# at every lam = 0.1 case here and at (400, 0.05, pi/3).
+CHIRP_MPMATH = {
+    (150, 0.1, 0.8): -1.7502681269303065e-51,
+    (250, 0.1, 0.8): 4.6704377444726575e-120,
+    (300, 0.1, 0.8): -9.0426491577371765e-160,
+    (150, 0.1, 1.047): 8.2384292389777545e-55,
+    (250, 0.1, 1.047): 1.3128700319178786e-125,
+    (300, 0.1, 1.047): 4.6705275252789282e-168,
+    (400, 0.05, math.pi / 3): 1.0134467114985482e-154,
+    (400, 0.05, B_HALF): 1.0134467114985401e-154,
 }
 
 
@@ -185,7 +199,7 @@ def test_chirp_panel_tier_against_frozen_oracles():
         if n > 50:
             continue
         r = chirped_sine_expectation(n, 0.1, B_HALF)
-        assert r.method == "oscillatory-panels"
+        assert r.method == "contour"
         assert r.value == pytest.approx(want, rel=1e-5)
         assert abs(r.value) > 20.0 * r.error
 
@@ -193,7 +207,7 @@ def test_chirp_panel_tier_against_frozen_oracles():
 def test_chirp_saddle_tier_against_frozen_oracles():
     for n in (60, 80, 100):
         r = chirped_sine_expectation(n, 0.1, B_HALF)
-        assert r.method == "saddle-point"
+        assert r.method == "contour"
         assert r.value == pytest.approx(CHIRP_ORACLE[n], rel=1e-9)
         assert math.isfinite(r.log_magnitude)
         assert r.log_magnitude == pytest.approx(math.log(abs(r.value)),
@@ -206,18 +220,33 @@ def test_chirp_steep_growth_against_independent_oracles():
         assert r.value == pytest.approx(want, rel=1e-3)
 
 
-def test_chirp_tier_overlap():
-    # both tiers live at n around 40-50 for growth 0.1; they must agree
-    for n in (40, 50):
-        pv, _ = _panel_tier(n, 0.1, B_HALF)
-        sv, _, _ = _saddle_tier(n, 0.1, B_HALF)
-        assert sv == pytest.approx(pv, rel=2e-3)
+def test_chirp_against_mpmath_contour_oracles():
+    for (n, lam, b), want in CHIRP_MPMATH.items():
+        r = chirped_sine_expectation(n, lam, b)
+        assert r.method == "contour"
+        assert abs(r.value - want) <= r.error, (n, lam, b)
+
+
+def test_chirp_log_magnitude_survives_underflow():
+    # e^-762 lies below the smallest double: the value rounds to 0, and the
+    # log-magnitude carries it (the mpmath oracle of CHIRP_MPMATH, 7.26e-332)
+    r = chirped_sine_expectation(237, 0.95, math.pi / 3)
+    assert r.value == 0.0
+    assert r.log_magnitude == pytest.approx(-762.47591041011935, abs=1e-9)
+
+
+def test_chirp_small_phase_runs_the_path_past_the_damping():
+    # b = 1e-3 (a = cos b near 1): the damping b e^{lam x} bites only near
+    # lam x = 19, so the path must run that far; mpmath on paths to 20/lam
+    # and 22/lam agree to every digit below
+    r = chirped_sine_expectation(5, 0.3, 1e-3)
+    assert abs(r.value - 0.094041280795430419) <= r.error
 
 
 def test_chirp_saddle_self_consistency_deep():
     # resolution doubling is part of the production error estimate
     r = chirped_sine_expectation(200, 0.1, B_HALF)
-    assert r.method == "saddle-point"
+    assert r.method == "contour"
     assert r.log_magnitude == pytest.approx(-201.0, abs=0.5)
     assert r.error <= 1e-6 * abs(r.value)
 
@@ -262,10 +291,18 @@ def test_chirp_validation_and_divergence():
         chirped_sine_expectation(5, 0.1, 0.0)
 
 
-def test_chirp_extreme_growth_small_n_fails_honestly():
-    # growth 0.9 per step defeats the panels before the saddle is valid
-    with pytest.raises(QuadratureNotConverged):
-        chirped_sine_expectation(12, 0.9, B_HALF)
+def test_chirp_extreme_growth_small_n_resolves():
+    # growth 0.9 per step at n = 12, against mpmath on the CHIRP_MPMATH paths
+    r = chirped_sine_expectation(12, 0.9, B_HALF)
+    assert abs(r.value - 1.9665796393491327e-7) <= r.error
+
+
+def test_chirp_missed_target_raises_with_value_and_error():
+    # growth 1e-4 per step: the 12/lam = 1.2e5 long leg is still unresolved
+    # at the panel cap, and the call says so instead of returning a value
+    with pytest.raises(QuadratureNotConverged) as exc:
+        chirped_sine_expectation(1, 1e-4, 1.0)
+    assert exc.value.error > 1e-10 * abs(exc.value.value) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +362,13 @@ def test_dt_distance_bound_other_model():
         assert dt_distance(m, k, n) <= bound
 
 
-def test_dt_distance_grey_zone_fails_honestly():
-    # growth 0.6 per step: the value sinks below the panel roundoff before
-    # the saddle becomes valid; that gap must surface, not silently zero
+def test_dt_distance_grey_zone_resolves():
+    # growth 0.6 per step at n = 10, against mpmath on the CHIRP_MPMATH paths
     m = SensitivityModel(a=-0.3, c=2.0)
-    with pytest.raises(QuadratureNotConverged) as exc:
-        dt_distance(m, GammaKernel(1, 0.3), 10)
-    assert exc.value.error is not None
+    k = GammaKernel(1, 0.3)
+    r = dt_sensitivity(m, k, 10)
+    assert abs(r.value - m.spread_factor * -6.0748874141648597e-6) <= r.error
+    assert dt_distance(m, k, 10) == abs(r.value)
 
 
 def test_dt_distance_rejects_marginal_growth():
