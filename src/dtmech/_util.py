@@ -1,12 +1,22 @@
-"""Shared numeric plumbing: deterministic reductions and thread helpers."""
+"""Shared numeric plumbing: deterministic reductions, Gauss--Legendre panels,
+the doubling loop of every rule, and thread helpers."""
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 THREAD_ENV_VAR = "DTMECH_THREADS"
+
+#: Points per Gauss--Legendre panel; panel rules start from FIRST_PANELS
+#: panels and double up to MAX_PANELS
+PANEL_NODES = 32
+FIRST_PANELS = 8
+MAX_PANELS = 1024
+
+EPS = float(np.finfo(float).eps)
 
 
 def pairwise_sum(values):
@@ -46,6 +56,56 @@ def modulus(values):
     (``np.abs`` on complex arrays can differ from it in the last bit)."""
     a = np.asarray(values)
     return np.hypot(a.real, a.imag) if a.dtype.kind == "c" else np.abs(a)
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The PANEL_NODES-point Gauss--Legendre rule on [0, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def legendre_panels(panels: int, length: float):
+    """Nodes and weights of ``panels`` equal Gauss--Legendre panels on [0, length]."""
+    x, w = _legendre_rule()
+    h = length / panels
+    nodes = (np.arange(panels)[:, None] + x).ravel() * h
+    return nodes, np.tile(w * h, panels)
+
+
+def refine(estimate, size: int, limit: int, rel: float, floor: float = 0.0):
+    """Double a rule's size until every column is kept, or up to ``limit``.
+
+    ``estimate(size)`` returns the columns' values (0-d for a scalar) and the
+    part of their errors that more resolution cannot shrink: the rounding of
+    the sums, and a bound on what the rule leaves out.  A column is kept, as
+    a scalar run would keep it, at the first doubling where its spread
+    against the size before plus that part is at most
+    ``max(rel |value|, floor)``: that sum is its error.  It is given up once
+    the spread is below that part and the part alone exceeds the target.
+    Returns values, errors, the size each column was kept at (0 where none
+    was; value and error are then the last ones) and the last size tried.
+    """
+    prev = np.asarray(estimate(size)[0])
+    value = prev.copy()
+    error = np.full(prev.shape, np.inf)
+    kept = np.zeros(prev.shape, dtype=int)
+    open_ = np.ones(prev.shape, dtype=bool)
+    while size < limit and open_.any():
+        size *= 2
+        cur, fixed = estimate(size)
+        spread = modulus(cur - prev)
+        err = spread + fixed
+        target = np.maximum(rel * modulus(cur), floor)
+        np.copyto(value, cur, where=open_)
+        np.copyto(error, err, where=open_)
+        accept = open_ & (err <= target)
+        kept[accept] = size
+        open_ &= ~accept
+        if np.any(fixed):
+            open_ &= (spread > fixed) | (fixed <= target)
+        prev = cur
+    return value, error, kept, size
 
 
 def resolve_thread_count(threads=None):

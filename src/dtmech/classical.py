@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StiffnessFailure
-from .kernel import GammaKernel, TimeSignal, transform_quadrature
+from .kernel import GammaKernel, TimeSignal, screening_horizon, transform_quadrature
 
 __all__ = [
     "PhaseState",
@@ -147,40 +147,29 @@ def _require_unit_masses(state: PhaseState) -> None:
 
 
 class Trajectory:
-    """Continuous solution with batch evaluation and growth on demand.
+    """Continuous solution with batch evaluation on ``[0, t_max]``.
 
     ``state_at(times)`` returns ``(positions, momenta)`` arrays of shape
-    ``(len(times), dof)``.  Evaluation never extrapolates: an integrated
-    solution asked beyond its current horizon re-solves to a larger one
-    (1.5x the requested time) when a grower is attached, and raises
-    otherwise.  ``steps`` records the integrator's accepted time points
-    (empty for closed-form trajectories).
+    ``(len(times), dof)``.  Evaluation never extrapolates: a time beyond
+    ``t_max`` raises.  ``steps`` records the integrator's accepted time
+    points (empty for closed-form trajectories).
     """
 
     def __init__(self, evaluate, t_max: float, tolerance: float, label: str,
-                 steps: np.ndarray | None = None, grower=None):
+                 steps: np.ndarray | None = None):
         self._evaluate = evaluate
         self.t_max = float(t_max)
         self.tolerance = float(tolerance)
         self.label = label
         self.steps = np.empty(0) if steps is None else steps
-        self._grower = grower
 
     def state_at(self, times):
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(t < 0.0):
             raise ValueError("trajectories are defined for t >= 0 only")
-        t_need = float(t.max(initial=0.0))
-        if t_need > self.t_max:
-            if self._grower is None:
-                raise ValueError(
-                    f"trajectory '{self.label}' covers [0, {self.t_max}] "
-                    f"but t = {t_need} was requested"
-                )
-            fresh = self._grower(1.5 * t_need)
-            self._evaluate = fresh._evaluate
-            self.t_max = fresh.t_max
-            self.steps = fresh.steps
+        if t.max(initial=0.0) > self.t_max:
+            raise ValueError(f"trajectory '{self.label}' covers [0, {self.t_max}] "
+                             f"but t = {float(t.max())} was requested")
         return self._evaluate(t)
 
 
@@ -201,11 +190,8 @@ def _integrate_field(fieldfn, y0, t_max: float, tolerance: float) -> Trajectory:
         x = sol.sol(t).T.reshape(t.size, dof)
         return x, np.zeros((t.size, dof))
 
-    return Trajectory(
-        evaluate, t_max=t_max, tolerance=tolerance, label="integrated-field",
-        steps=sol.t,
-        grower=lambda bigger: _integrate_field(fieldfn, y0, bigger, tolerance),
-    )
+    return Trajectory(evaluate, t_max=t_max, tolerance=tolerance,
+                      label="integrated-field", steps=sol.t)
 
 
 def continuous_trajectory(model, state: PhaseState, t_max: float,
@@ -410,8 +396,8 @@ def observable_signal(trajectory: Trajectory, func,
     ``func`` must be vectorized over the leading axis: it receives arrays of
     shape ``(m, dof)`` and returns shape ``(m,)``, or ``(m, k)`` for ``k``
     observables.  Without a declared growth rate the transform's divergence
-    screening probes the signal far beyond the weight's bulk, growing the
-    trajectory as needed.
+    screening probes the signal far beyond the weight's bulk, out to the
+    :func:`~dtmech.kernel.screening_horizon`.
     """
 
     def evaluate(t):
@@ -429,15 +415,13 @@ def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
     Row ``n`` is the gamma transform (at step count ``n``) of the signal
     ``t -> func(x(t), p(t))``; row 0 is the deterministic initial value.
     A row holds ``k`` entries when ``func`` returns ``k`` columns.
-    The trajectory is solved once, out to the farthest time the divergence
-    screening probes at the last step count (which also covers every live
-    Gauss--Laguerre node); only the adaptive fallback reaches further, and
-    an integrated trajectory grows for it on demand.
+    The trajectory is solved once, out to the screening horizon of the last
+    step count: no transform, screening probe, live Gauss--Laguerre node or
+    fallback panel reaches further, so it is never re-solved.
     """
     n_values = _step_range(kernel, steps)
-    last = n_values[-1]
-    # _screen_convergence's far window ends at u = 2 (n + 10 sqrt(n) + 50) + 1
-    horizon = 2.0 * kernel.tau * (last + 10.0 * math.sqrt(last + 1.0) + 51.0)
+    last = GammaKernel(max(int(n_values[-1]), 1), kernel.tau)
+    horizon = screening_horizon(last, growth_rate)
     trajectory = model.trajectory(state, t_max=horizon)
     signal = observable_signal(trajectory, func, growth_rate=growth_rate)
     x0 = state.positions[None, :]

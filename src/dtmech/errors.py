@@ -19,7 +19,7 @@ class DivergentTransform(NumericalError):
 
 
 class QuadratureNotConverged(NumericalError):
-    """Node escalation and the adaptive fallback both missed the error target."""
+    """Node escalation and the panel fallback both missed the error target."""
 
     def __init__(self, message, value=None, error=None):
         super().__init__(message)

@@ -19,17 +19,17 @@ advection probe that exhibits scheme-induced negativity on a periodic grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from ._util import as_rows, modulus, pairwise_dot, pairwise_sum
+from ._util import (EPS, FIRST_PANELS, MAX_PANELS, PANEL_NODES, as_rows,
+                    legendre_panels, modulus, pairwise_dot, pairwise_sum,
+                    refine)
 from .errors import (
     BackwardOnly,
     DivergentTransform,
@@ -50,6 +50,7 @@ __all__ = [
     "log_gamma_density",
     "transform_quadrature",
     "transform_monte_carlo",
+    "screening_horizon",
     "sample_internal_time",
     "scheme_delta_coefficient",
     "scheme_density_decomposition",
@@ -65,12 +66,6 @@ __all__ = [
 
 #: Absolute convergence floor used when a target value sits near zero.
 ABSOLUTE_FLOOR = 1e-13
-
-#: Relative error the adaptive fallback must reach before giving up.  The
-#: fallback is a last resort for integrands that defeat node doubling (fast
-#: oscillation against a wide weight); demanding the full doubling target
-#: there would turn every hard-but-recoverable case into an exception.
-FALLBACK_RELATIVE = 1e-6
 
 #: Hard cap on Gauss--Laguerre node escalation.
 MAX_NODE_COUNT = 2048
@@ -296,7 +291,7 @@ class QuadratureRule:
     ``u**(n-1) exp(-u) / (n-1)!`` (the weights sum to 1); a result in the
     unnormalized convention is the normalized one times ``(n-1)!``.
     ``error_target`` is the relative target used both for node-doubling
-    acceptance and for the adaptive fallback.
+    acceptance and for the panel fallback.
     """
 
     step_count: int
@@ -336,6 +331,19 @@ class MonteCarloEstimate(NamedTuple):
     standard_error: float
 
 
+def screening_horizon(kernel: GammaKernel,
+                      growth_rate: float | None = None) -> float:
+    """``tau U(n)``, ``U(n) = 2 (n + 10 sqrt(n) + 50) + 1``: the end of the
+    screening's far window, where the weight is spent, and the latest time
+    any transform at ``kernel`` evaluates its signal.  A declared growth
+    rate ``g > 0`` is absorbed into the weight, making the quantum
+    ``tau / (1 - g tau)``."""
+    n, tau = kernel.n, kernel.tau
+    if growth_rate is not None and growth_rate > 0.0:
+        tau = tau / (1.0 - growth_rate * tau)
+    return tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
+
+
 def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
     """Reject signals whose smearing integral cannot converge.
 
@@ -354,30 +362,20 @@ def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
             )
         return
     n, tau = kernel.n, kernel.tau
-    u_star = n + 10.0 * math.sqrt(n) + 50.0
-    offsets = np.array([0.0, 0.5, 1.0])
+    t_end = screening_horizon(kernel)
+    width = tau * np.array([0.0, 0.5, 1.0])
 
-    def window_max(base):
-        u = base + offsets
-        f = np.abs(np.asarray(signal.evaluate(tau * u), dtype=complex))
+    def window_max(t):
+        u = t / tau
+        f = np.abs(np.asarray(signal.evaluate(t), dtype=complex))
         with np.errstate(divide="ignore"):
             return np.max(as_rows((n - 1) * np.log(u) - u, f) + np.log(f), axis=0)
 
-    if np.any(window_max(2.0 * u_star) > window_max(u_star)):
+    if np.any(window_max(t_end - width) > window_max(0.5 * (t_end - tau) + width)):
         raise DivergentTransform(
             "undeclared signal still grows against the weight at "
-            f"u ~ {2 * u_star:.0f} (n={n}, tau={tau}); suspected divergence"
+            f"u ~ {t_end / tau:.0f} (n={n}, tau={tau}); suspected divergence"
         )
-
-
-def _laguerre_estimate(signal: TimeSignal, kernel: GammaKernel, node_count: int):
-    nodes, weights = _laguerre_rule(node_count, kernel.n - 1)
-    # far nodes whose weights underflow to 0 contribute nothing; skipping them
-    # keeps growing signals from manufacturing inf * 0 at times that are
-    # irrelevant anyway
-    live = weights > 0.0
-    values = np.asarray(signal.evaluate(kernel.tau * nodes[live]))
-    return pairwise_dot(weights[live], values)
 
 
 def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
@@ -387,10 +385,10 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     Starts from ``rule`` (default ``max(32, ceil(4 sqrt(n)))`` nodes) and
     doubles the node count until two consecutive estimates agree to the
     rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely); the
-    difference of the last doubling is reported as the error estimate.  If escalation stalls
-    — oscillatory signals with ``omega*tau*n`` large defeat polynomial rules —
-    the integral is re-attempted in the standardized variable
-    ``u = n + sqrt(n) s`` with adaptive panels before giving up.
+    difference of the last doubling is reported as the error estimate.  If
+    escalation stalls — oscillatory signals with ``omega*tau`` large defeat
+    polynomial rules — the columns left are summed over Gauss--Legendre
+    panels on ``u`` in [0, U(n)], the screening window, before giving up.
     """
     _screen_convergence(signal, kernel)
     g = signal.growth_rate
@@ -428,7 +426,8 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
 
     A column keeps the value and error of the first doubling that meets the
     tolerance, exactly as a scalar transform of it would; doubling goes on
-    until every column is kept, and the rest go to the fallback one by one.
+    until every column is kept, and the rest go to the panel fallback
+    together.
     """
     if rule is None:
         rule = QuadratureRule.for_kernel(kernel)
@@ -437,93 +436,68 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
             f"rule was built for step count {rule.step_count}, kernel has {kernel.n}"
         )
     rel = rule.error_target
-    m = rule.node_count
-    first = _laguerre_estimate(signal, kernel, m)
-    scalar = np.ndim(first) == 0
-    prev = np.atleast_1d(first)
-    kind = complex if signal.complex_valued or np.iscomplexobj(prev) else float
-    value = np.zeros(prev.shape, dtype=kind)
-    error = np.zeros(prev.shape)
-    open_ = np.ones(prev.shape, dtype=bool)
-    left, top = prev.size, 0
-    while m < MAX_NODE_COUNT and left:
-        m *= 2
-        cur = np.atleast_1d(_laguerre_estimate(signal, kernel, m))
-        err = modulus(cur - prev)
-        accept = open_ & (err <= np.maximum(rel * modulus(cur), ABSOLUTE_FLOOR))
-        kept = int(np.count_nonzero(accept))
-        if kept:
-            value[accept] = cur[accept]
-            error[accept] = err[accept]
-            open_ &= ~accept
-            left, top = left - kept, m
-        prev = cur
+
+    def laguerre(m):
+        nodes, weights = _laguerre_rule(m, kernel.n - 1)
+        # far nodes whose weights underflow to 0 contribute nothing; skipping
+        # them keeps growing signals from manufacturing inf * 0 at times that
+        # are irrelevant anyway
+        live = weights > 0.0
+        values = np.asarray(signal.evaluate(kernel.tau * nodes[live]))
+        return pairwise_dot(weights[live], values), 0.0
+
+    value, error, kept, _ = refine(laguerre, rule.node_count, MAX_NODE_COUNT,
+                                   rel, ABSOLUTE_FLOOR)
+    kind = complex if signal.complex_valued or np.iscomplexobj(value) else float
+    value = value.astype(kind)
     method = "laguerre"
-    if left:
-        for j in np.flatnonzero(open_):
-            res = _adaptive_fallback(signal, kernel, rel,
-                                     column=None if scalar else j)
-            value[j], error[j], method = res.value, res.error, res.method
-    if scalar:
-        return TransformResult(kind(value[0]), float(error[0]), top, method)
-    return TransformResult(value, error, top, method)
+    left = kept == 0
+    if left.any():
+        rest = signal if left.all() else TimeSignal(
+            lambda t: np.asarray(signal.evaluate(t))[:, left])
+        value[left], error[left] = _adaptive_fallback(rest, kernel, rel)
+        method = "adaptive"
+    if value.ndim == 0:
+        value, error = kind(value), float(error)
+    return TransformResult(value, error, int(kept.max()), method)
 
 
-def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel, rel: float,
-                       column: int | None = None) -> TransformResult:
-    """Standardized-variable adaptive quadrature, used when doubling fails,
-    on one ``column`` of a multi-column signal; detects complex values."""
-    n, tau = kernel.n, kernel.tau
-    root = math.sqrt(n)
-    lg = float(gammaln(n))
-    is_complex = signal.complex_valued
+def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel, rel: float):
+    """Gauss--Legendre panels on ``u`` in [0, U(n)] for the columns that
+    defeat node doubling: past :func:`screening_horizon` the weight is spent.
 
-    def density_times(u, part):
-        nonlocal is_complex
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            vals = np.asarray(signal.evaluate(tau * np.atleast_1d(u)))[0]
-        vals = vals if column is None else vals[column]
-        is_complex = is_complex or np.iscomplexobj(vals)
-        vals = vals.real if part == "re" else vals.imag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if n > 1:
-                logw = (n - 1) * np.log(np.maximum(u, 0.0)) - u - lg
-            else:
-                logw = -u
-            w = np.where(u > 0, np.exp(logw), 0.0)
-            return np.where(w == 0.0, 0.0, w * vals)
+    The panels of every column double together under the doubling loop's
+    test; an error is the spread against half as many panels plus the
+    rounding of the sum and a bound on the tail, which only a signal that
+    grows against the weight makes count.  Returns values and errors, one
+    per column.
+    """
+    t_end = screening_horizon(kernel)
 
-    s_hi = 40.0
-    breakpoints = [p for p in (-4.0, -2.0, 0.0, 2.0, 4.0, 8.0) if -root < p < s_hi]
+    def panels(p):
+        t, q = legendre_panels(p, t_end)
+        w = q * np.exp(_log_density_core(kernel, t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.asarray(signal.evaluate(t))
+            terms = as_rows(w, f) * f
+        terms = np.where(as_rows(w, f) == 0.0, 0.0, terms)
+        size = modulus(terms)
+        rounding = EPS * math.log2(t.size) * pairwise_sum(size)
+        # the integrand's largest size on the last panel times the window: a
+        # bound on the tail past it if that decays at least at the rate 1/U(n)
+        last = slice(-PANEL_NODES, None)
+        edge = t_end * np.max(size[last] / as_rows(q[last], size), axis=0)
+        return pairwise_sum(terms), rounding + edge
 
-    def integrate(part):
-        def f(s):
-            return density_times(n + root * s, part) * root
-
-        # quad's warnings would break the one-line stderr contract; the error
-        # estimates they qualify are judged against the ceiling below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            core, core_err = quad(f, -root, s_hi, limit=800, points=breakpoints)
-            tail, tail_err = quad(f, s_hi, np.inf, limit=200)
-        return core + tail, core_err + tail_err
-
-    re_val, re_err = integrate("re")
-    if is_complex:
-        im_val, im_err = integrate("im")
-        value, err = complex(re_val, im_val), re_err + im_err
-    else:
-        value, err = re_val, re_err
-    ceiling = max(rel * abs(value), FALLBACK_RELATIVE * abs(value),
-                  ABSOLUTE_FLOOR)
-    if not np.isfinite(err) or not np.isfinite(abs(value)) or err > ceiling:
+    value, error, kept, reached = refine(panels, FIRST_PANELS, MAX_PANELS, rel,
+                                         ABSOLUTE_FLOOR)
+    if not kept.all():
+        j = int(np.flatnonzero(kept == 0)[0])
+        one, err = np.ravel(value)[j], float(np.ravel(error)[j])
         raise QuadratureNotConverged(
-            f"adaptive fallback error {err:.3e} exceeds {ceiling:.3e} "
-            f"for n={n}, tau={tau}",
-            value=value, error=err,
-        )
-    return TransformResult(value, float(err), 0, "adaptive")
+            f"panel fallback error {err:.3e} misses the target for {kernel} "
+            f"at {reached} panels", value=one, error=err)
+    return value, error
 
 
 # ---------------------------------------------------------------------------

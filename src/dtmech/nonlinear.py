@@ -26,7 +26,6 @@ after the value underflows.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
+from ._util import EPS, FIRST_PANELS, MAX_PANELS, legendre_panels, refine
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
 from .kernel import GammaKernel
 
@@ -57,17 +57,13 @@ __all__ = [
 FIT_RESIDUAL_LIMIT = 2.0
 # samples with |sin(phase)| below this would inject -inf spikes into log fits
 PHASE_NODE_CUTOFF = 0.05
-# chirped expectation: points per Gauss--Legendre panel, heights of the
-# horizontal leg as fractions of pi/(2 lam) (the lowest one serves growth
-# per step below about 0.01), panels per leg of the height probe and at
-# most, the relative error target, and b e^{lam X} at the path's end X
-CONTOUR_NODES = 32
+# chirped expectation: heights of the horizontal leg as fractions of
+# pi/(2 lam) (the lowest one serves growth per step below about 0.01), the
+# relative error target, and b e^{lam X} at the path's end X; the height
+# probe uses the first panel count of the shared panel rules
 CONTOUR_HEIGHTS = (1 / 1024, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
-CONTOUR_PROBE_PANELS = 8
-CONTOUR_MAX_PANELS = 1024
 CHIRP_REL_TARGET = 1e-10
 CONTOUR_END = 12.0
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -204,21 +200,6 @@ class ChirpedExpectation(NamedTuple):
     method: str
 
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The CONTOUR_NODES-point Gauss--Legendre rule on [0, 1], built on first use."""
-    x, w = np.polynomial.legendre.leggauss(CONTOUR_NODES)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _legendre_panels(panels: int, length: float):
-    """Nodes and weights of ``panels`` equal Gauss--Legendre panels on [0, length]."""
-    x, w = _legendre_rule()
-    h = length / panels
-    nodes = (np.arange(panels)[:, None] + x).ravel() * h
-    return nodes, np.tile(w * h, panels)
-
-
 def _contour_log_terms(n: int, lam: float, b: float, height: float,
                        length: float, panels: int):
     """Weights and log-integrand on the path 0 -> iY -> iY + X.
@@ -228,8 +209,8 @@ def _contour_log_terms(n: int, lam: float, b: float, height: float,
     node: eps times it bounds the rounding of each computed exponent, and
     so the relative rounding of each term.
     """
-    s, ws = _legendre_panels(panels, height)
-    x, wx = _legendre_panels(panels, length)
+    s, ws = legendre_panels(panels, height)
+    x, wx = legendre_panels(panels, length)
     u = np.concatenate((1j * s, x + 1j * height))
     weights = np.concatenate((1j * ws, wx))
     log_u = (n - 1) * np.log(u)
@@ -253,9 +234,10 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     leaves a tail that is bounded and counted in the error.  Y is the
     fraction of pi/(2 lam) in :data:`CONTOUR_HEIGHTS` whose probe has the
     lowest peak log-magnitude, the least cancellation.  Both legs get equal
-    Gauss--Legendre panels, doubled until the spread against half as many
-    panels, the tail and the summation roundoff add up to at most
-    :data:`CHIRP_REL_TARGET` of the value; past :data:`CONTOUR_MAX_PANELS`
+    Gauss--Legendre panels, doubled by the shared doubling loop until the
+    spread against half as many panels, the tail and the summation roundoff
+    add up to at most :data:`CHIRP_REL_TARGET` of the value.  Past
+    ``MAX_PANELS``, or once the tail and roundoff alone exceed that target,
     the call raises :class:`QuadratureNotConverged`.  The reported error
     adds the rounding of each term's exponent, which more panels cannot
     shrink.
@@ -274,12 +256,9 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     probes = []
     for frac in CONTOUR_HEIGHTS:
         height = frac * 0.5 * math.pi / lam
-        weights, log_f, _ = _contour_log_terms(n, lam, b, height, x_end,
-                                               CONTOUR_PROBE_PANELS)
-        probes.append((float(np.max(log_f.real)), height, weights, log_f))
-    peak, height, weights, log_f = min(probes, key=lambda p: p[0])
-    # every resolution is scaled by the probe's peak, so the sums compare
-    coarse = float(np.sum(weights * np.exp(log_f - peak)).imag)
+        _, log_f, _ = _contour_log_terms(n, lam, b, height, x_end, FIRST_PANELS)
+        probes.append((float(np.max(log_f.real)), height))
+    peak, height = min(probes, key=lambda p: p[0])
     # past the end X of the path, log|f| falls at least at this rate, which
     # bounds the part of the integral left out
     damping = b * math.exp(reach) * math.sin(lam * height)
@@ -288,29 +267,30 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
                     - (1.0 - lam) * x_end - damping - peak) / rate \
         if rate > 0.0 else math.inf
     log_scale = peak - math.lgamma(n)
-    panels = CONTOUR_PROBE_PANELS
-    while True:
-        panels *= 2
+    last = {}
+
+    def contour(panels):
         weights, log_f, size = _contour_log_terms(n, lam, b, height, x_end,
                                                   panels)
+        # every resolution is scaled by the probe's peak, so the sums compare
         terms = weights * np.exp(log_f - peak)
-        fine = float(np.sum(terms).imag)
         magnitude = np.abs(terms)
-        error = abs(fine - coarse) + tail \
-            + _EPS * math.log2(terms.size) * float(np.sum(magnitude))
-        if error <= CHIRP_REL_TARGET * abs(fine):
-            # the rounding of each term's exponent does not shrink with
-            # more panels: it joins the reported error, not the target
-            error += _EPS * float(np.sum(magnitude * (abs(peak) + size)))
-            break
-        if panels >= CONTOUR_MAX_PANELS:
-            value = _rescaled(fine, log_scale)
-            error = _rescaled(error, log_scale)
-            raise QuadratureNotConverged(
-                f"contour quadrature for n={n}, growth {lam}, phase {b} "
-                f"missed its target at {panels} panels per leg: "
-                f"{value:.3e} +- {error:.2e}", value=value, error=error)
-        coarse = fine
+        last["magnitude"], last["size"] = magnitude, size
+        return float(np.sum(terms).imag), \
+            tail + EPS * math.log2(terms.size) * float(np.sum(magnitude))
+
+    fine, error, kept, reached = refine(contour, FIRST_PANELS, MAX_PANELS,
+                                        CHIRP_REL_TARGET)
+    if not kept:
+        value = _rescaled(fine, log_scale)
+        error = _rescaled(error, log_scale)
+        raise QuadratureNotConverged(
+            f"contour quadrature for n={n}, growth {lam}, phase {b} "
+            f"missed its target at {reached} panels per leg: "
+            f"{value:.3e} +- {error:.2e}", value=value, error=error)
+    # the rounding of each term's exponent does not shrink with more
+    # panels: it joins the reported error, not the target
+    error += EPS * float(np.sum(last["magnitude"] * (abs(peak) + last["size"])))
     log_magnitude = math.log(abs(fine)) + log_scale if fine else -math.inf
     value = _rescaled(fine, log_scale)
     # the last term covers the rounding of the value itself, which is all

@@ -278,13 +278,35 @@ def test_custom_field_decay_matches_exponential():
     assert traj.steps.size > 0
 
 
-def test_custom_field_trajectory_grows_on_demand():
+def test_custom_field_trajectory_refuses_times_past_its_end():
     model = CustomField(lambda x: -x)
     s = PhaseState([2.0], [0.0], [1.0])
     traj = continuous_trajectory(model, s, t_max=2.0, tolerance=1e-11)
-    x, _ = traj.state_at([7.0])  # beyond the original horizon
-    assert x[0, 0] == pytest.approx(2.0 * math.exp(-7.0), rel=1e-9)
-    assert traj.t_max >= 7.0
+    x, _ = traj.state_at([2.0])
+    assert x[0, 0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-9)
+    with pytest.raises(ValueError, match="covers"):
+        traj.state_at([7.0])
+    assert traj.t_max == 2.0
+
+
+def test_fast_rotation_field_is_solved_once(monkeypatch):
+    # x0' = 40 x1, x1' = -40 x0 from (0, 1): x0 = sin 40t, whose one-step
+    # transform at tau = 0.5 is Im 1/(1 - 20i) = 20/401.  Node doubling gives
+    # up and the panel fallback takes over, inside the screening horizon the
+    # trajectory was solved to
+    calls = []
+    real = classical.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "solve_ivp", counting)
+    model = CustomField(lambda x: np.array([40.0 * x[1], -40.0 * x[0]]))
+    s = PhaseState([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    vals = evolve_observable(model, s, lambda x, p: x[..., 0], GammaKernel(1, 0.5))
+    assert len(calls) == 1
+    assert abs(vals[1] - 0.04987531172069825) <= 1e-9
 
 
 def test_trajectory_rejects_negative_time():

@@ -606,20 +606,29 @@ def test_module_invocation_round_trip(tmp_path):
     assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_fallback_warnings_stay_off_stderr(tmp_path):
-    # quad warns on roundoff while the fallback walks off a short cos table;
-    # stderr must still carry only the one error line
+def test_fallback_on_a_short_table_keeps_the_cli_contract(tmp_path):
+    # cos tabulated on [0, 200] at n = 5, tau = 1: node doubling gives up
+    # and the panel fallback stays inside the screening window, which the
+    # table covers.  Linear interpolation keeps the panels from the default
+    # 1e-10 target (one typed stderr line, exit 3); a looser target returns
+    # Re (1 - i)^-5 = -1/8 up to the table's interpolation error
     table = tmp_path / "cos.csv"
     t = np.linspace(0, 200, 4001)
     rows = "\n".join(f"{ti},{vi}" for ti, vi in zip(t, np.cos(t)))
     table.write_text("t,value\n" + rows + "\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "dtmech", "transform", "--signal", "table",
-         "--table", str(table), "--n", "5", "--tau", "1"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
+    args = [sys.executable, "-m", "dtmech", "transform", "--signal", "table",
+            "--table", str(table), "--n", "5", "--tau", "1"]
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("ValueError: tabulated signal spans")
+    assert proc.stderr.startswith("QuadratureNotConverged: ")
+    out = tmp_path / "loose.csv"
+    proc = subprocess.run(args + ["--error-target", "1e-6", "--output", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    _, rows = payload_rows(out.read_bytes().decode())
+    assert rows[0][-1] == "adaptive"
+    assert float(rows[0][1]) == pytest.approx(-0.125, abs=1e-4)
 
 
 def test_no_stray_temp_files(tmp_path):

@@ -305,6 +305,16 @@ def test_chirp_missed_target_raises_with_value_and_error():
     assert exc.value.error > 1e-10 * abs(exc.value.value) > 0.0
 
 
+def test_chirp_stops_doubling_once_roundoff_exceeds_target():
+    # the value has settled to about 1e-10 relative, but the summation
+    # roundoff alone outgrows 1e-10 of it; more panels cannot help, so the
+    # call raises before the panel cap instead of doubling on to it
+    with pytest.raises(QuadratureNotConverged) as exc:
+        chirped_sine_expectation(218, 0.5108473307846301, 3.453488645209794)
+    panels = int(str(exc.value).split(" panels per leg")[0].rsplit(" ", 1)[1])
+    assert panels < 1024
+
+
 # ---------------------------------------------------------------------------
 # smeared sensitivity
 
