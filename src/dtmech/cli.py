@@ -508,7 +508,7 @@ def build_parser() -> tuple[_Parser, list]:
     t.add_argument("--samples", type=int, default=100_000,
                    help="Monte Carlo sample count (default 100000)")
     t.add_argument("--nodes", type=int, default=None,
-                   help="initial quadrature node count")
+                   help="initial quadrature node count (default 32, at most 256)")
     t.add_argument("--error-target", type=float, default=1e-10,
                    help="relative quadrature target (default 1e-10)")
     t.set_defaults(handler=_cmd_transform, command_path="transform")

@@ -61,14 +61,15 @@ __all__ = [
     "complex_exponential_signal",
     "exponential_signal",
     "tabulated_signal",
-    "default_node_count",
 ]
 
 #: Absolute convergence floor used when a target value sits near zero.
 ABSOLUTE_FLOOR = 1e-13
 
-#: Hard cap on Gauss--Laguerre node escalation.
-MAX_NODE_COUNT = 2048
+#: Gauss--Laguerre node doubling starts at FIRST_NODE_COUNT for every step
+#: count and stops at MAX_NODE_COUNT; columns still open go to the panels.
+FIRST_NODE_COUNT = 32
+MAX_NODE_COUNT = 512
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,6 @@ def tabulated_signal(times, values, order: int = 1) -> TimeSignal:
 # quadrature
 
 
-def default_node_count(n: int) -> int:
-    """Default Gauss--Laguerre size: ``max(32, ceil(4*sqrt(n)))``."""
-    return max(32, math.ceil(4.0 * math.sqrt(n)))
-
-
 @lru_cache(maxsize=256)
 def _laguerre_rule(node_count: int, shape_param: int):
     """Nodes/weights for the weight ``u**shape_param * exp(-u)``, normalized.
@@ -290,6 +286,8 @@ class QuadratureRule:
     ``nodes``/``weights`` integrate against the *normalized* weight
     ``u**(n-1) exp(-u) / (n-1)!`` (the weights sum to 1); a result in the
     unnormalized convention is the normalized one times ``(n-1)!``.
+    ``node_count`` is where node doubling starts: :data:`FIRST_NODE_COUNT`
+    by default, at most half of :data:`MAX_NODE_COUNT`, so that it doubles.
     ``error_target`` is the relative target used both for node-doubling
     acceptance and for the panel fallback.
     """
@@ -303,9 +301,10 @@ class QuadratureRule:
     @classmethod
     def for_kernel(cls, kernel: GammaKernel, node_count: int | None = None,
                    error_target: float = 1e-10) -> "QuadratureRule":
-        m = default_node_count(kernel.n) if node_count is None else int(node_count)
-        if m < 1:
-            raise ValueError(f"node count must be >= 1, got {node_count!r}")
+        m = FIRST_NODE_COUNT if node_count is None else int(node_count)
+        if not 1 <= m <= MAX_NODE_COUNT // 2:
+            raise ValueError(f"node count must lie in [1, {MAX_NODE_COUNT // 2}] "
+                             f"so that it can double at least once, got {node_count!r}")
         nodes, weights = _laguerre_rule(m, kernel.n - 1)
         return cls(step_count=kernel.n, node_count=m, nodes=nodes,
                    weights=weights, error_target=float(error_target))
@@ -382,13 +381,14 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
                          rule: QuadratureRule | None = None) -> TransformResult:
     """Smearing integral by generalized Gauss--Laguerre quadrature.
 
-    Starts from ``rule`` (default ``max(32, ceil(4 sqrt(n)))`` nodes) and
-    doubles the node count until two consecutive estimates agree to the
-    rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely); the
+    Starts from ``rule`` (default :data:`FIRST_NODE_COUNT` nodes, whatever
+    ``n``) and doubles the node count until two consecutive estimates agree
+    to the rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely); the
     difference of the last doubling is reported as the error estimate.  If
-    escalation stalls — oscillatory signals with ``omega*tau`` large defeat
-    polynomial rules — the columns left are summed over Gauss--Legendre
-    panels on ``u`` in [0, U(n)], the screening window, before giving up.
+    escalation stalls at :data:`MAX_NODE_COUNT` — oscillatory signals with
+    ``omega*tau`` large defeat polynomial rules — the columns left are summed
+    over Gauss--Legendre panels on ``u`` in [0, U(n)], the screening window,
+    before giving up.
     """
     _screen_convergence(signal, kernel)
     g = signal.growth_rate

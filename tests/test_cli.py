@@ -152,6 +152,20 @@ def test_n_and_range_together_rejected(capsys):
     assert code == 2
 
 
+def test_nodes_must_leave_room_to_double(tmp_path, capsys):
+    # a start above half the 512-node cap could never double: one typed
+    # line naming the bound; the largest start that can double still runs
+    code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
+                       "--nodes", "257"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValueError:") and "256" in err
+    code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
+                       "--nodes", "256"], tmp_path)
+    assert code == 0
+
+
 def test_divergent_growth_exits_3(capsys):
     code, _ = run_cli(["transform", "--signal", "exp", "--rate", "2.0",
                        "--tau", "1", "--n", "3"])

@@ -1,6 +1,7 @@
 """Tests for the smearing kernel, both transform routes, and step schemes."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -216,7 +217,7 @@ def test_transform_escalates_on_fast_oscillation():
     res = transform_quadrature(complex_exponential_signal(40.0), GammaKernel(1, 1.0))
     assert res.method in ("laguerre", "adaptive")
     assert abs(res.value - complex_exp_exact(1, 1.0, 40.0)) <= res.error
-    assert res.node_count == 0 or res.node_count > kernel.default_node_count(1)
+    assert res.node_count == 0 or res.node_count > kernel.FIRST_NODE_COUNT
 
 
 def test_fallback_meets_the_full_target():
@@ -239,6 +240,71 @@ def test_fallback_resolves_fast_oscillation_beyond_one_step(omega_tau, n, tau):
     omega = omega_tau / tau
     res = transform_quadrature(complex_exponential_signal(omega), GammaKernel(n, tau))
     assert abs(res.value - complex_exp_exact(n, tau, omega)) <= res.error
+
+
+# ---------------------------------------------------------------------------
+# node budget: doubling from FIRST_NODE_COUNT up to MAX_NODE_COUNT, then panels
+
+
+def _spy_rule_sizes(monkeypatch):
+    sizes = []
+    build = kernel._laguerre_rule
+
+    def spy(node_count, shape_param):
+        sizes.append(node_count)
+        return build(node_count, shape_param)
+
+    monkeypatch.setattr(kernel, "_laguerre_rule", spy)
+    return sizes
+
+
+def test_fast_oscillation_hands_over_to_panels_at_the_node_cap(monkeypatch):
+    # cos at omega tau = 10, n = 1 is still open at 512 nodes: the panels
+    # give Re (1 - 10i)^-1 = 1/101 without a larger rule
+    sizes = _spy_rule_sizes(monkeypatch)
+    tau = 0.34
+    omega = 10.0 / tau
+    res = transform_quadrature(cosine_signal(omega), GammaKernel(1, tau))
+    assert max(sizes) <= 512
+    assert res.method == "adaptive"
+    exact = complex_exp_exact(1, tau, omega).real
+    assert abs(res.value - exact) <= 1e-9 * abs(exact)
+
+
+def test_smooth_signal_at_large_n_needs_one_doubling(monkeypatch):
+    # cos 1.5t at tau = 0.1, n = 800: the 32-node start and its doubling
+    # agree, so no rule grows with n
+    sizes = _spy_rule_sizes(monkeypatch)
+    res = transform_quadrature(cosine_signal(1.5), GammaKernel(800, 0.1))
+    assert sorted(set(sizes)) == [32, 64]
+    assert res.method == "laguerre" and res.node_count == 64
+
+
+SWEEP_TAU = 0.1
+SWEEP_N = list(range(1, 800, 37)) + [800]
+SWEEP_SIGNALS = {
+    # name: (signal, closed form of its smearing at step n, in mpmath)
+    "cos": (cosine_signal(1.5),
+            lambda n, tau: mpmath.re((1 - 1.5j * tau) ** -n)),
+    "cexp": (complex_exponential_signal(1.5),
+             lambda n, tau: (1 - 1.5j * tau) ** -n),
+    "t^3": (monomial_signal(3),
+            lambda n, tau: tau ** 3 * mpmath.rf(n, 3)),
+    "exp": (exponential_signal(2.0),
+            lambda n, tau: (1 - 2 * tau) ** -n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SIGNALS))
+def test_transform_sweep_over_n_matches_mpmath(name):
+    # every n from 1 to 800 in steps of 37 starts from the same 32 nodes;
+    # each value must land on the closed form at 40 digits
+    signal, closed = SWEEP_SIGNALS[name]
+    for n in SWEEP_N:
+        res = transform_quadrature(signal, GammaKernel(n, SWEEP_TAU))
+        with mpmath.workdps(40):
+            exact = complex(closed(n, mpmath.mpf(SWEEP_TAU)))
+        assert abs(res.value - exact) <= 1e-9 * abs(exact) + 1e-10, (name, n)
 
 
 def test_transform_divergent_declared():
