@@ -69,7 +69,6 @@ class PhaseState:
 class FreeParticle:
     """H = sum p_i^2 / 2 m_i: straight-line trajectories, exact closed forms."""
 
-    analytic = True
     has_energy = True
 
     def trajectory(self, state: PhaseState, t_max: float = math.inf,
@@ -81,8 +80,7 @@ class FreeParticle:
             t = np.asarray(t, dtype=float)[:, None]
             return x0 + vel * t, np.broadcast_to(p0, (t.shape[0], p0.size)).copy()
 
-        return Trajectory(evaluate, t_max=math.inf, tolerance=0.0,
-                          label="free-particle")
+        return Trajectory(evaluate, t_max=math.inf, label="free-particle")
 
     def energy(self, x, p, masses):
         return 0.5 * np.sum(p * p / masses, axis=-1)
@@ -95,7 +93,6 @@ class HarmonicOscillator:
     (mass, frequency) is a rescaling handled by :func:`sho_moments_scaled`.
     """
 
-    analytic = True
     has_energy = True
 
     def trajectory(self, state: PhaseState, t_max: float = math.inf,
@@ -108,8 +105,7 @@ class HarmonicOscillator:
             t = np.asarray(t, dtype=float)[:, None]
             return r * np.sin(t + theta), r * np.cos(t + theta)
 
-        return Trajectory(evaluate, t_max=math.inf, tolerance=0.0,
-                          label="oscillator")
+        return Trajectory(evaluate, t_max=math.inf, label="oscillator")
 
     def energy(self, x, p, masses):
         return 0.5 * np.sum(x * x + p * p, axis=-1)
@@ -124,7 +120,6 @@ class CustomField:
     collapse of the step size surfaces as :class:`StiffnessFailure`.
     """
 
-    analytic = False
     has_energy = False
 
     def __init__(self, field):
@@ -155,11 +150,10 @@ class Trajectory:
     points (empty for closed-form trajectories).
     """
 
-    def __init__(self, evaluate, t_max: float, tolerance: float, label: str,
+    def __init__(self, evaluate, t_max: float, label: str,
                  steps: np.ndarray | None = None):
         self._evaluate = evaluate
         self.t_max = float(t_max)
-        self.tolerance = float(tolerance)
         self.label = label
         self.steps = np.empty(0) if steps is None else steps
 
@@ -190,8 +184,8 @@ def _integrate_field(fieldfn, y0, t_max: float, tolerance: float) -> Trajectory:
         x = sol.sol(t).T.reshape(t.size, dof)
         return x, np.zeros((t.size, dof))
 
-    return Trajectory(evaluate, t_max=t_max, tolerance=tolerance,
-                      label="integrated-field", steps=sol.t)
+    return Trajectory(evaluate, t_max=t_max, label="integrated-field",
+                      steps=sol.t)
 
 
 def continuous_trajectory(model, state: PhaseState, t_max: float,
@@ -389,8 +383,7 @@ def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
 
 
 def observable_signal(trajectory: Trajectory, func,
-                      growth_rate: float | None = None,
-                      label: str = "observable") -> TimeSignal:
+                      growth_rate: float | None = None) -> TimeSignal:
     """Time signal t -> func(x(t), p(t)) along a trajectory.
 
     ``func`` must be vectorized over the leading axis: it receives arrays of
@@ -404,7 +397,7 @@ def observable_signal(trajectory: Trajectory, func,
         x, p = trajectory.state_at(np.atleast_1d(t))
         return np.asarray(func(x, p))
 
-    return TimeSignal(evaluate, growth_rate=growth_rate, label=label)
+    return TimeSignal(evaluate, growth_rate=growth_rate)
 
 
 def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,

@@ -49,7 +49,7 @@ from . import __version__
 from ._util import deterministic_map, resolve_thread_count
 from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         free_particle_moments, quadrature_moments,
-                        sho_moments, sho_moments_scaled)
+                        sho_moments_scaled)
 from .errors import NumericalError
 from .kernel import (GammaKernel, QuadratureRule, StepScheme,
                      advection_negativity_probe, complex_exponential_signal,
@@ -227,7 +227,7 @@ def _cmd_transform(args):
             r = transform_quadrature(signal, kern, rule=rule)
             results.append((n, r.value, r.error, r.node_count, r.method))
 
-    if signal.complex_valued:
+    if args.signal == "cexp":
         columns = ["n", "value_re", "value_im", "error", "evaluations",
                    "method"]
         rows = [[n, complex(v).real, complex(v).imag, e, m, meth]
@@ -260,12 +260,8 @@ def _cmd_classical(args):
                                         steps=last)
     else:
         if args.route == "closed":
-            unit = args.omega == 1.0 and bool(np.all(masses == 1.0))
-            if unit:
-                report = sho_moments(state, kern, steps=last)
-            else:
-                report = sho_moments_scaled(state, kern, omega=args.omega,
-                                            steps=last)
+            report = sho_moments_scaled(state, kern, omega=args.omega,
+                                        steps=last)
         else:
             if args.omega != 1.0:
                 raise ConfigError("the quadrature route supports omega = 1 "

@@ -19,7 +19,7 @@ advection probe that exhibits scheme-induced negativity on a periodic grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -102,15 +102,8 @@ def gamma_density(kernel: GammaKernel, xi, origin: float = 0.0):
     density jumps to ``1/tau`` immediately above the origin; the value at the
     origin itself is 0 by the support convention.
     """
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    s = xi - origin
-    mask = s > 0.0
-    if np.any(mask):
-        out[mask] = np.exp(_log_density_core(kernel, s[mask]))
-    if np.ndim(xi) == 0:
-        return float(out)
-    return out
+    out = np.exp(log_gamma_density(kernel, xi, origin))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_gamma_density(kernel: GammaKernel, xi, origin: float = 0.0):
@@ -146,9 +139,9 @@ def _log_density_core(kernel: GammaKernel, s):
 class TimeSignal:
     """Continuous-time signal fed to the smearing transform.
 
-    ``evaluate`` maps a 1-d array of ``m`` times to values (real or complex)
-    of shape ``(m,)``, or ``(m, k)`` for ``k`` observables transformed in one
-    quadrature pass.
+    ``evaluate`` maps a 1-d array of ``m`` times to values of shape ``(m,)``,
+    or ``(m, k)`` for ``k`` observables transformed in one quadrature pass;
+    complex values give complex results.
     ``growth_rate`` is an optional declared exponential growth bound g with
     ``|F(t)| <= C * exp(g t)``; when present, convergence is decided from
     ``g * tau < 1`` directly and the screening probe is skipped.  Signals
@@ -158,13 +151,11 @@ class TimeSignal:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     growth_rate: float | None = None
-    complex_valued: bool = False
-    label: str = "custom"
 
 
 def constant_signal(value: float = 1.0) -> TimeSignal:
     return TimeSignal(lambda t: np.full_like(np.asarray(t, dtype=float), value),
-                      growth_rate=0.0, label=f"const({value})")
+                      growth_rate=0.0)
 
 
 def monomial_signal(degree: int) -> TimeSignal:
@@ -173,18 +164,17 @@ def monomial_signal(degree: int) -> TimeSignal:
         raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
     k = int(degree)
     return TimeSignal(lambda t: np.asarray(t, dtype=float) ** k,
-                      growth_rate=0.0, label=f"t^{k}")
+                      growth_rate=0.0)
 
 
 def cosine_signal(omega: float = 1.0) -> TimeSignal:
     return TimeSignal(lambda t: np.cos(omega * np.asarray(t, dtype=float)),
-                      growth_rate=0.0, label=f"cos({omega}t)")
+                      growth_rate=0.0)
 
 
 def complex_exponential_signal(omega: float = 1.0) -> TimeSignal:
     return TimeSignal(lambda t: np.exp(1j * omega * np.asarray(t, dtype=float)),
-                      growth_rate=0.0, complex_valued=True,
-                      label=f"exp(i{omega}t)")
+                      growth_rate=0.0)
 
 
 def exponential_signal(rate: float, amplitude: float = 1.0) -> TimeSignal:
@@ -192,17 +182,16 @@ def exponential_signal(rate: float, amplitude: float = 1.0) -> TimeSignal:
     return TimeSignal(
         lambda t: amplitude * np.exp(rate * np.asarray(t, dtype=float)),
         growth_rate=max(rate, 0.0),
-        label=f"{amplitude}*exp({rate}t)",
     )
 
 
-def tabulated_signal(times, values, order: int = 1) -> TimeSignal:
-    """Signal interpolated from samples ``(times, values)``.
+def tabulated_signal(times, values) -> TimeSignal:
+    """Signal interpolated linearly from samples ``(times, values)``.
 
-    ``order`` selects linear (1) or cubic-spline (3) interpolation.  The table
-    is treated as a bounded signal (growth rate 0); evaluation beyond its last
-    sample raises ``ValueError`` naming the range the transform needed, since
-    extrapolating measured data silently would be worse than failing.
+    The table is treated as a bounded signal (growth rate 0); evaluation
+    beyond its last sample raises ``ValueError`` naming the range the
+    transform needed, since extrapolating measured data silently would be
+    worse than failing.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -210,19 +199,6 @@ def tabulated_signal(times, values, order: int = 1) -> TimeSignal:
         raise ValueError("tabulated signal needs matching 1-d times/values with >= 2 samples")
     if np.any(np.diff(t) <= 0):
         raise ValueError("tabulated signal times must be strictly increasing")
-    if order == 1:
-        def interp(q):
-            return np.interp(q, t, v)
-    elif order == 3:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(t, v)
-
-        def interp(q):
-            return spline(q)
-    else:
-        raise ValueError(f"interpolation order must be 1 or 3, got {order!r}")
-
     t_lo, t_hi = float(t[0]), float(t[-1])
 
     def evaluate(q):
@@ -232,9 +208,9 @@ def tabulated_signal(times, values, order: int = 1) -> TimeSignal:
                 f"tabulated signal spans [{t_lo}, {t_hi}] but evaluation "
                 f"needed [{float(np.min(q))}, {float(np.max(q))}]; extend the table"
             )
-        return interp(np.clip(q, t_lo, t_hi))
+        return np.interp(np.clip(q, t_lo, t_hi), t, v)
 
-    return TimeSignal(evaluate, growth_rate=0.0, label="table")
+    return TimeSignal(evaluate, growth_rate=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +246,8 @@ def _laguerre_rule(node_count: int, shape_param: int):
         gaps[0] = nodes[1] - nodes[0]
         gaps[-1] = nodes[-1] - nodes[-2]
         with np.errstate(divide="ignore"):
-            expected = (shape_param * np.log(nodes) - nodes
-                        - gammaln(shape_param + 1) + np.log(gaps))
+            expected = (_log_density_core(GammaKernel(shape_param + 1, 1.0), nodes)
+                        + np.log(gaps))
             junk = np.log(weights) > expected + 30.0
         weights[junk] = 0.0
     nodes.setflags(write=False)
@@ -281,21 +257,19 @@ def _laguerre_rule(node_count: int, shape_param: int):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Generalized Gauss--Laguerre rule matched to a kernel's weight.
+    """Settings of the generalized Gauss--Laguerre node doubling at one ``n``.
 
-    ``nodes``/``weights`` integrate against the *normalized* weight
-    ``u**(n-1) exp(-u) / (n-1)!`` (the weights sum to 1); a result in the
-    unnormalized convention is the normalized one times ``(n-1)!``.
-    ``node_count`` is where node doubling starts: :data:`FIRST_NODE_COUNT`
-    by default, at most half of :data:`MAX_NODE_COUNT`, so that it doubles.
-    ``error_target`` is the relative target used both for node-doubling
-    acceptance and for the panel fallback.
+    The rules themselves integrate against the *normalized* weight
+    ``u**(n-1) exp(-u) / (n-1)!`` (their weights sum to 1) and are built as
+    doubling reaches them.  ``node_count`` is where doubling starts:
+    :data:`FIRST_NODE_COUNT` by default, at most half of
+    :data:`MAX_NODE_COUNT`, so that it doubles.  ``error_target`` is the
+    relative target used both for node-doubling acceptance and for the panel
+    fallback.
     """
 
     step_count: int
     node_count: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     error_target: float = 1e-10
 
     @classmethod
@@ -305,9 +279,8 @@ class QuadratureRule:
         if not 1 <= m <= MAX_NODE_COUNT // 2:
             raise ValueError(f"node count must lie in [1, {MAX_NODE_COUNT // 2}] "
                              f"so that it can double at least once, got {node_count!r}")
-        nodes, weights = _laguerre_rule(m, kernel.n - 1)
-        return cls(step_count=kernel.n, node_count=m, nodes=nodes,
-                   weights=weights, error_target=float(error_target))
+        return cls(step_count=kernel.n, node_count=m,
+                   error_target=float(error_target))
 
 
 class TransformResult(NamedTuple):
@@ -382,53 +355,17 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     """Smearing integral by generalized Gauss--Laguerre quadrature.
 
     Starts from ``rule`` (default :data:`FIRST_NODE_COUNT` nodes, whatever
-    ``n``) and doubles the node count until two consecutive estimates agree
-    to the rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely); the
-    difference of the last doubling is reported as the error estimate.  If
-    escalation stalls at :data:`MAX_NODE_COUNT` — oscillatory signals with
-    ``omega*tau`` large defeat polynomial rules — the columns left are summed
-    over Gauss--Legendre panels on ``u`` in [0, U(n)], the screening window,
+    ``n``) and doubles the node count over every column of the signal at
+    once.  A column keeps the value and error of the first doubling where
+    two consecutive estimates agree to the rule's relative target (or
+    :data:`ABSOLUTE_FLOOR` absolutely), exactly as a scalar transform of it
+    would; the difference of that doubling is its error estimate.  Columns
+    still open at :data:`MAX_NODE_COUNT` — oscillatory signals with
+    ``omega*tau`` large defeat polynomial rules — are summed together over
+    Gauss--Legendre panels on ``u`` in [0, U(n)], the screening window,
     before giving up.
     """
     _screen_convergence(signal, kernel)
-    g = signal.growth_rate
-    if g is not None and g > 0.0:
-        # absorb the declared exponential growth into the weight:
-        # F = exp(g t) H with H bounded turns the integral into
-        # (1 - g tau)^(-n) times the transform of H at the inflated quantum
-        # tau / (1 - g tau); the effective integrand decays, which keeps
-        # far-node noise from being amplified by exp(+g t)
-        shrink = 1.0 - g * kernel.tau
-        inner = signal.evaluate
-
-        def damped(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.asarray(inner(t))
-                damp = as_rows(np.exp(-g * t), vals)
-                vals = vals * damp
-            return np.where(damp == 0.0, 0.0, vals)
-
-        eff_signal = TimeSignal(damped, growth_rate=0.0,
-                                complex_valued=signal.complex_valued,
-                                label=signal.label + "|tilted")
-        eff_kernel = GammaKernel(kernel.n, kernel.tau / shrink)
-        prefactor = shrink ** (-float(kernel.n))
-        res = _transform_core(eff_signal, eff_kernel, rule)
-        return TransformResult(res.value * prefactor, res.error * prefactor,
-                               res.node_count, res.method)
-    return _transform_core(signal, kernel, rule)
-
-
-def _transform_core(signal: TimeSignal, kernel: GammaKernel,
-                    rule: QuadratureRule | None) -> TransformResult:
-    """Node doubling over every column of the signal at once.
-
-    A column keeps the value and error of the first doubling that meets the
-    tolerance, exactly as a scalar transform of it would; doubling goes on
-    until every column is kept, and the rest go to the panel fallback
-    together.
-    """
     if rule is None:
         rule = QuadratureRule.for_kernel(kernel)
     elif rule.step_count != kernel.n:
@@ -436,6 +373,25 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
             f"rule was built for step count {rule.step_count}, kernel has {kernel.n}"
         )
     rel = rule.error_target
+    evaluate, g = signal.evaluate, signal.growth_rate
+    tilted = g is not None and g > 0.0
+    if tilted:
+        # absorb the declared exponential growth into the weight:
+        # F = exp(g t) H with H bounded turns the integral into
+        # (1 - g tau)^(-n) times the transform of H at the inflated quantum
+        # tau / (1 - g tau); the effective integrand decays, which keeps
+        # far-node noise from being amplified by exp(+g t)
+        shrink = 1.0 - g * kernel.tau
+
+        def evaluate(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.asarray(signal.evaluate(t))
+                damp = as_rows(np.exp(-g * t), vals)
+                vals = vals * damp
+            return np.where(damp == 0.0, 0.0, vals)
+
+        kernel = GammaKernel(kernel.n, kernel.tau / shrink)
 
     def laguerre(m):
         nodes, weights = _laguerre_rule(m, kernel.n - 1)
@@ -443,28 +399,31 @@ def _transform_core(signal: TimeSignal, kernel: GammaKernel,
         # them keeps growing signals from manufacturing inf * 0 at times that
         # are irrelevant anyway
         live = weights > 0.0
-        values = np.asarray(signal.evaluate(kernel.tau * nodes[live]))
+        values = np.asarray(evaluate(kernel.tau * nodes[live]))
         return pairwise_dot(weights[live], values), 0.0
 
     value, error, kept, _ = refine(laguerre, rule.node_count, MAX_NODE_COUNT,
                                    rel, ABSOLUTE_FLOOR)
-    kind = complex if signal.complex_valued or np.iscomplexobj(value) else float
-    value = value.astype(kind)
+    kind = complex if np.iscomplexobj(value) else float
     method = "laguerre"
     left = kept == 0
     if left.any():
-        rest = signal if left.all() else TimeSignal(
-            lambda t: np.asarray(signal.evaluate(t))[:, left])
+        rest = evaluate if left.all() else (
+            lambda t: np.asarray(evaluate(t))[:, left])
         value[left], error[left] = _adaptive_fallback(rest, kernel, rel)
         method = "adaptive"
     if value.ndim == 0:
         value, error = kind(value), float(error)
+    if tilted:
+        prefactor = shrink ** (-float(kernel.n))
+        value, error = value * prefactor, error * prefactor
     return TransformResult(value, error, int(kept.max()), method)
 
 
-def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel, rel: float):
+def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):
     """Gauss--Legendre panels on ``u`` in [0, U(n)] for the columns that
-    defeat node doubling: past :func:`screening_horizon` the weight is spent.
+    ``evaluate`` returns, which defeat node doubling: past
+    :func:`screening_horizon` the weight is spent.
 
     The panels of every column double together under the doubling loop's
     test; an error is the spread against half as many panels plus the
@@ -478,7 +437,7 @@ def _adaptive_fallback(signal: TimeSignal, kernel: GammaKernel, rel: float):
         t, q = legendre_panels(p, t_end)
         w = q * np.exp(_log_density_core(kernel, t))
         with np.errstate(over="ignore", invalid="ignore"):
-            f = np.asarray(signal.evaluate(t))
+            f = np.asarray(evaluate(t))
             terms = as_rows(w, f) * f
         terms = np.where(as_rows(w, f) == 0.0, 0.0, terms)
         size = modulus(terms)
@@ -553,9 +512,9 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     ``U_i ~ Gamma(n, 1)`` and the reported uncertainty is the standard error
     of that mean.  Reductions run through the fixed pairwise tree, so a given
     seed reproduces the estimate bit for bit.  The estimate is complex when
-    the signal is flagged complex or returns complex values; a signal with
-    ``k`` columns gives length-``k`` estimates and standard errors, each
-    equal to its column's own.
+    the signal returns complex values; a signal with ``k`` columns gives
+    length-``k`` estimates and standard errors, each equal to its column's
+    own.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
@@ -567,7 +526,7 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     resid = values - mean
     var = np.real(pairwise_sum(np.abs(resid) ** 2)) / (samples - 1)
     stderr = np.sqrt(var / samples)
-    kind = complex if signal.complex_valued or np.iscomplexobj(values) else float
+    kind = complex if np.iscomplexobj(values) else float
     if np.ndim(mean) == 0:
         return MonteCarloEstimate(kind(mean), float(stderr))
     return MonteCarloEstimate(mean.astype(kind), stderr)
@@ -639,8 +598,7 @@ class SchemeDecomposition:
             sm = s[mask]
             acc = np.zeros_like(sm)
             for w, j in zip(self.mixture_weights, self.shapes):
-                logh = ((j - 1) * np.log(sm / self.scale) - sm / self.scale
-                        - gammaln(j) - math.log(self.scale))
+                logh = _log_density_core(GammaKernel(j, self.scale), sm)
                 acc += w * np.exp(logh)
             out[mask] = acc
         return out

@@ -268,7 +268,7 @@ def gamma_equivalence_check(dm: DensityMatrix, n: int,
     phases = -1j * omegas
     signal = TimeSignal(
         lambda t: coeffs * np.exp(np.asarray(t)[:, None] * phases),
-        growth_rate=0.0, complex_valued=True, label="coherence-phase")
+        growth_rate=0.0)
     res = transform_quadrature(signal, GammaKernel(n, constants.tau))
     return float(np.max(modulus(res.value - evolved[live])))
 

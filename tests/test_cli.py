@@ -113,6 +113,19 @@ def test_complex_signal_gets_split_columns(tmp_path):
     assert float(rows[0][2]) == pytest.approx(expect.imag, rel=1e-10)
 
 
+def test_complex_monte_carlo_gets_split_columns(tmp_path):
+    code, text = run_cli(["transform", "--signal", "cexp", "--omega", "0.5",
+                          "--n", "2", "--method", "monte-carlo",
+                          "--samples", "2000", "--seed", "4"], tmp_path)
+    assert code == 0
+    header, rows = payload_rows(text)
+    assert header == ["n", "value_re", "value_im", "error", "evaluations",
+                      "method"]
+    expect = (1 - 0.5j) ** -2
+    est = complex(float(rows[0][1]), float(rows[0][2]))
+    assert abs(est - expect) <= 6.0 * float(rows[0][3])
+
+
 def test_tabulated_signal_from_file(tmp_path):
     table = tmp_path / "sig.csv"
     t = np.linspace(0, 150, 4001)

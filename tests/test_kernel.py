@@ -70,6 +70,22 @@ def test_log_density_large_step_count_is_finite():
     assert val == pytest.approx(math.log(gamma_dist.pdf(500.0, a=500)), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 300])
+def test_density_is_the_exponential_of_its_log(n):
+    # one log-weight serves both: equal to the bit, on either side of the
+    # origin, for scalars and arrays
+    ker = GammaKernel(n, 0.7)
+    xi = np.array([-2.0, 0.0, 1e-300, 1e-9, 0.35, 0.7 * n, 3.0 * n, 5e3])
+    for origin in (0.0, 0.35):
+        dens = gamma_density(ker, xi, origin=origin)
+        assert np.array_equal(dens, np.exp(log_gamma_density(ker, xi, origin=origin)))
+        for x in xi:
+            one = gamma_density(ker, float(x), origin=origin)
+            assert type(one) is float
+            assert one == np.exp(log_gamma_density(ker, float(x), origin=origin))
+    assert gamma_density(ker, 0.0) == 0.0 and gamma_density(ker, -1.0) == 0.0
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError):
         GammaKernel(0, 1.0)
@@ -87,31 +103,31 @@ def test_kernel_validation():
 
 def test_rule_weights_normalized_and_nonnegative():
     for n in (1, 4, 37, 250):
-        rule = QuadratureRule.for_kernel(GammaKernel(n, 1.0))
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        nodes, weights = kernel._laguerre_rule(kernel.FIRST_NODE_COUNT, n - 1)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         # tail weights below eigenvector noise are deliberately zeroed,
         # so non-negativity (not strict positivity) is the contract
-        assert np.all(rule.weights >= 0)
-        assert rule.weights.max() > 0.01
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.nodes > 0)
+        assert np.all(weights >= 0)
+        assert weights.max() > 0.01
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(nodes > 0)
 
 
 def test_rule_moment_exactness():
     # an M-node rule integrates u**j exactly against the weight for j <= 2M-1
     n, m = 4, 6
-    rule = QuadratureRule.for_kernel(GammaKernel(n, 1.0), node_count=m)
+    nodes, weights = kernel._laguerre_rule(m, n - 1)
     for j in range(2 * m):
-        got = float(np.dot(rule.weights, rule.nodes ** j))
+        got = float(np.dot(weights, nodes ** j))
         want = math.exp(gammaln(n + j) - gammaln(n))
         assert got == pytest.approx(want, rel=1e-12), f"moment {j}"
 
 
 def test_rule_huge_shape_no_overflow():
     # shape parameter n-1 = 399 is far beyond Gamma overflow
-    rule = QuadratureRule.for_kernel(GammaKernel(400, 1.0), node_count=64)
-    assert np.all(np.isfinite(rule.nodes))
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-10)
+    nodes, weights = kernel._laguerre_rule(64, 399)
+    assert np.all(np.isfinite(nodes))
+    assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("shape", [0, 1, 7, 399])
@@ -346,7 +362,7 @@ def test_pairwise_reductions_are_columnwise_bit_identical(m, dtype):
 def _stacked(signals):
     return kernel.TimeSignal(
         lambda t: np.stack([s.evaluate(t) for s in signals], axis=1),
-        growth_rate=0.0, complex_valued=True, label="stacked")
+        growth_rate=0.0)
 
 
 @pytest.mark.parametrize("n,tau,fast", [(1, 1.0, 40.0), (3, 0.5, 4.0),
@@ -361,6 +377,8 @@ def test_column_transform_matches_scalar_transforms(n, tau, fast):
     scalars = [transform_quadrature(s, ker) for s in signals]
     res = transform_quadrature(_stacked(signals), ker)
     assert res.value.shape == res.error.shape == (len(signals),)
+    # real and complex columns together come back complex, with no flag
+    assert res.value.dtype == complex
     for j, one in enumerate(scalars):
         assert abs(res.value[j] - one.value) <= res.error[j] + one.error
         # each column is accepted where its scalar transform stops
@@ -419,8 +437,8 @@ def test_screening_refuses_one_growing_column():
 
 
 def test_fallback_keeps_undeclared_imaginary_part():
-    # exp(14i t) at n = 1 needs the adaptive fallback; the signal does not
-    # declare itself complex, so the fallback must notice from its values
+    # exp(14i t) at n = 1 needs the adaptive fallback, which must keep the
+    # imaginary part of the values it is handed
     undeclared = kernel.TimeSignal(lambda t: np.exp(14j * np.asarray(t)),
                                    growth_rate=0.0)
     res = transform_quadrature(undeclared, GammaKernel(1, 1.0))
@@ -448,8 +466,6 @@ def test_tabulated_signal_validation():
         tabulated_signal([0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         tabulated_signal([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        tabulated_signal([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], order=2)
 
 
 def test_continuum_limit_of_cosine():
@@ -514,7 +530,6 @@ def test_monte_carlo_complex_signal():
 
 
 def test_monte_carlo_keeps_undeclared_imaginary_part():
-    # complex values without the complex_valued flag
     sig = kernel.TimeSignal(lambda t: np.exp(1j * np.asarray(t)),
                             growth_rate=0.0)
     est = transform_monte_carlo(sig, GammaKernel(2, 0.5), samples=20000,
@@ -538,6 +553,42 @@ def test_monte_carlo_columns_equal_scalar_estimates():
         assert type(one.standard_error) is float
         assert est.estimate[j] == one.estimate
         assert est.standard_error[j] == one.standard_error
+
+
+# ---------------------------------------------------------------------------
+# the result kind follows the values
+
+
+GROWING_PHASE = 0.3 + 2.0j
+
+
+@pytest.mark.parametrize("growth_rate", [None, 0.3])
+def test_complex_values_give_a_complex_transform(growth_rate):
+    # screened when no rate is declared, tilted into the weight when it is
+    ker = GammaKernel(4, 0.25)
+    sig = kernel.TimeSignal(lambda t: np.exp(GROWING_PHASE * np.asarray(t)),
+                            growth_rate=growth_rate)
+    res = transform_quadrature(sig, ker)
+    exact = (1.0 - GROWING_PHASE * ker.tau) ** (-ker.n)
+    assert type(res.value) is complex and type(res.error) is float
+    assert abs(res.value - exact) <= res.error + 1e-15 * abs(exact)
+
+
+def test_complex_values_give_a_complex_monte_carlo_estimate():
+    ker = GammaKernel(4, 0.25)
+    sig = kernel.TimeSignal(lambda t: np.exp(GROWING_PHASE * np.asarray(t)))
+    est = transform_monte_carlo(sig, ker, samples=20000, seed=3)
+    exact = (1.0 - GROWING_PHASE * ker.tau) ** (-ker.n)
+    assert type(est.estimate) is complex
+    assert abs(est.estimate - exact) <= 6.0 * est.standard_error
+
+
+def test_real_values_give_a_float_transform():
+    ker = GammaKernel(4, 0.25)
+    for sig in (cosine_signal(2.0), exponential_signal(0.3),
+                kernel.TimeSignal(lambda t: np.sin(np.asarray(t)))):
+        assert type(transform_quadrature(sig, ker).value) is float
+        assert type(transform_monte_carlo(sig, ker, 100, 1).estimate) is float
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +647,18 @@ def test_decomposition_continuous_mass():
     assert mass == pytest.approx(1.0 - dec.delta_coefficient, abs=1e-5)
     with pytest.raises(errors.BackwardOnly):
         scheme_density_decomposition(StepScheme(1.0), GammaKernel(3, 0.5))
+
+
+def test_decomposition_density_is_the_gamma_mixture_to_the_bit():
+    kern = GammaKernel(5, 0.8)
+    dec = scheme_density_decomposition(StepScheme(0.5), kern)
+    xi = np.array([-1.0, 0.0, 1e-6, 0.3, 1.7, 4.0, 9.5, 40.0])
+    want = np.zeros_like(xi)
+    for w, j in zip(dec.mixture_weights, dec.shapes):
+        want += w * gamma_density(GammaKernel(j, 0.5 * kern.tau), xi)
+    got = dec.continuous_density(xi)
+    assert np.all(got[2:] == want[2:])
+    assert np.all(got[:2] == 0.0)
 
 
 # ---------------------------------------------------------------------------
