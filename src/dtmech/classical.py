@@ -10,7 +10,7 @@ forms, so both produce the same :class:`MomentReport` shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -30,7 +30,6 @@ __all__ = [
     "sho_moments_scaled",
     "evolve_observable",
     "quadrature_moments",
-    "continuous_trajectory",
     "observable_signal",
 ]
 
@@ -69,8 +68,6 @@ class PhaseState:
 class FreeParticle:
     """H = sum p_i^2 / 2 m_i: straight-line trajectories, exact closed forms."""
 
-    has_energy = True
-
     def trajectory(self, state: PhaseState, t_max: float = math.inf,
                    tolerance: float = 1e-10) -> "Trajectory":
         x0, p0, m = state.positions, state.momenta, state.masses
@@ -80,7 +77,7 @@ class FreeParticle:
             t = np.asarray(t, dtype=float)[:, None]
             return x0 + vel * t, np.broadcast_to(p0, (t.shape[0], p0.size)).copy()
 
-        return Trajectory(evaluate, t_max=math.inf, label="free-particle")
+        return Trajectory(evaluate, t_max=math.inf)
 
     def energy(self, x, p, masses):
         return 0.5 * np.sum(p * p / masses, axis=-1)
@@ -93,8 +90,6 @@ class HarmonicOscillator:
     (mass, frequency) is a rescaling handled by :func:`sho_moments_scaled`.
     """
 
-    has_energy = True
-
     def trajectory(self, state: PhaseState, t_max: float = math.inf,
                    tolerance: float = 1e-10) -> "Trajectory":
         _require_unit_masses(state)
@@ -105,7 +100,7 @@ class HarmonicOscillator:
             t = np.asarray(t, dtype=float)[:, None]
             return r * np.sin(t + theta), r * np.cos(t + theta)
 
-        return Trajectory(evaluate, t_max=math.inf, label="oscillator")
+        return Trajectory(evaluate, t_max=math.inf)
 
     def energy(self, x, p, masses):
         return 0.5 * np.sum(x * x + p * p, axis=-1)
@@ -120,17 +115,12 @@ class CustomField:
     collapse of the step size surfaces as :class:`StiffnessFailure`.
     """
 
-    has_energy = False
-
     def __init__(self, field):
         self.field = field
 
     def trajectory(self, state: PhaseState, t_max: float,
                    tolerance: float = 1e-10) -> "Trajectory":
         return _integrate_field(self.field, state.positions, t_max, tolerance)
-
-    def energy(self, x, p, masses):
-        return np.full(np.asarray(x).shape[:-1], np.nan)
 
 
 def _require_unit_masses(state: PhaseState) -> None:
@@ -146,23 +136,19 @@ class Trajectory:
 
     ``state_at(times)`` returns ``(positions, momenta)`` arrays of shape
     ``(len(times), dof)``.  Evaluation never extrapolates: a time beyond
-    ``t_max`` raises.  ``steps`` records the integrator's accepted time
-    points (empty for closed-form trajectories).
+    ``t_max`` raises.
     """
 
-    def __init__(self, evaluate, t_max: float, label: str,
-                 steps: np.ndarray | None = None):
+    def __init__(self, evaluate, t_max: float):
         self._evaluate = evaluate
         self.t_max = float(t_max)
-        self.label = label
-        self.steps = np.empty(0) if steps is None else steps
 
     def state_at(self, times):
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(t < 0.0):
             raise ValueError("trajectories are defined for t >= 0 only")
         if t.max(initial=0.0) > self.t_max:
-            raise ValueError(f"trajectory '{self.label}' covers [0, {self.t_max}] "
+            raise ValueError(f"trajectory covers [0, {self.t_max}] "
                              f"but t = {float(t.max())} was requested")
         return self._evaluate(t)
 
@@ -184,18 +170,7 @@ def _integrate_field(fieldfn, y0, t_max: float, tolerance: float) -> Trajectory:
         x = sol.sol(t).T.reshape(t.size, dof)
         return x, np.zeros((t.size, dof))
 
-    return Trajectory(evaluate, t_max=t_max, label="integrated-field",
-                      steps=sol.t)
-
-
-def continuous_trajectory(model, state: PhaseState, t_max: float,
-                          tolerance: float = 1e-10) -> Trajectory:
-    """Continuous-time solution for the model from the given initial state.
-
-    Closed forms for the analytic models (any horizon, zero error); adaptive
-    high-order Runge--Kutta with dense output for :class:`CustomField`.
-    """
-    return model.trajectory(state, t_max=t_max, tolerance=tolerance)
+    return Trajectory(evaluate, t_max=t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +188,6 @@ class MomentReport:
     model defines no Hamiltonian.
     """
 
-    tau: float
     steps: np.ndarray
     mean_positions: np.ndarray
     mean_momenta: np.ndarray
@@ -298,7 +272,7 @@ def free_particle_moments(state: PhaseState, kernel: GammaKernel,
     second_x = mean_x[:, :, None] * mean_x[:, None, :] + cov
     second_p = np.broadcast_to(np.outer(p0, p0), cov.shape).copy()
     energy = np.full(n.size, float(np.sum(p0 * p0 / (2.0 * m))))
-    return MomentReport(tau=tau, steps=n[:, 0], mean_positions=mean_x,
+    return MomentReport(steps=n[:, 0], mean_positions=mean_x,
                         mean_momenta=mean_p, second_positions=second_x,
                         second_momenta=second_p, energy=energy)
 
@@ -342,7 +316,7 @@ def sho_moments(state: PhaseState, kernel: GammaKernel,
     second_x = rr * (static - damp2[:, :, None] * rot)
     second_p = rr * (static + damp2[:, :, None] * rot)
     energy = np.full(n.size, float(0.5 * np.sum(r * r)))
-    return MomentReport(tau=tau, steps=n[:, 0], mean_positions=mean_x,
+    return MomentReport(steps=n[:, 0], mean_positions=mean_x,
                         mean_momenta=mean_p, second_positions=second_x,
                         second_momenta=second_p, energy=energy)
 
@@ -373,7 +347,7 @@ def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
     second_p = rep.second_momenta * np.outer(scale, scale)
     # H = omega * (unit-system energy), constant over n
     energy = rep.energy * omega
-    return MomentReport(tau=kernel.tau, steps=rep.steps, mean_positions=mean_x,
+    return MomentReport(steps=rep.steps, mean_positions=mean_x,
                         mean_momenta=mean_p, second_positions=second_x,
                         second_momenta=second_p, energy=energy)
 
@@ -438,12 +412,12 @@ def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
     n_values = _step_range(kernel, steps)
     l = state.dof
     iu, ju = np.triu_indices(l)
-    has_energy = getattr(model, "has_energy", True)
+    energy_of = getattr(model, "energy", None)
 
     def columns(x, p):
         cols = [x, p, x[:, iu] * x[:, ju], p[:, iu] * p[:, ju]]
-        if has_energy:
-            cols.append(model.energy(x, p, state.masses)[:, None])
+        if energy_of is not None:
+            cols.append(energy_of(x, p, state.masses)[:, None])
         return np.concatenate(cols, axis=1)
 
     values = evolve_observable(model, state, columns, kernel, steps=steps)
@@ -452,8 +426,9 @@ def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
     second_p = np.empty((n_values.size, l, l))
     second_x[:, iu, ju] = second_x[:, ju, iu] = values[:, 2 * l:2 * l + pairs]
     second_p[:, iu, ju] = second_p[:, ju, iu] = values[:, 2 * l + pairs:2 * l + 2 * pairs]
-    energy = values[:, -1] if has_energy else np.full(n_values.size, np.nan)
-    return MomentReport(tau=kernel.tau, steps=n_values,
+    energy = (values[:, -1] if energy_of is not None
+              else np.full(n_values.size, np.nan))
+    return MomentReport(steps=n_values,
                         mean_positions=values[:, :l],
                         mean_momenta=values[:, l:2 * l],
                         second_positions=second_x, second_momenta=second_p,

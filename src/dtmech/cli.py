@@ -311,29 +311,26 @@ def _cmd_quantum_td(args):
     if not texts:
         raise ConfigError("--delta-e is required (repeat for several gaps)")
     horizon_text = args.horizon
-    rows = []
     if si:
-        horizon = _parse_quantity(horizon_text or "1e10yr", "time", True)
-        flag_column = ("exceeds_1e10_years" if horizon_text is None
-                       else "exceeds_horizon")
-        columns = ["delta_e_joules", "t_d_seconds", "t_d_years", flag_column]
-        for text in texts:
-            gap = _parse_quantity(text, "energy", True)
-            t_d = float(decoherence_time(gap, consts))
-            rows.append([gap, t_d, t_d / SECONDS_PER_YEAR, t_d > horizon])
+        # SI always compares against a horizon, by default the 1e10 years
+        columns = ["delta_e_joules", "t_d_seconds", "t_d_years",
+                   "exceeds_1e10_years" if horizon_text is None
+                   else "exceeds_horizon"]
+        horizon_text = horizon_text or "1e10yr"
     else:
         columns = ["delta_e", "t_d"]
-        horizon = None
         if horizon_text is not None:
-            horizon = _parse_quantity(horizon_text, "time", False)
             columns.append("exceeds_horizon")
-        for text in texts:
-            gap = _parse_quantity(text, "energy", False)
-            t_d = float(decoherence_time(gap, consts))
-            row = [gap, t_d]
-            if horizon is not None:
-                row.append(t_d > horizon)
-            rows.append(row)
+    horizon = (None if horizon_text is None
+               else _parse_quantity(horizon_text, "time", si))
+    rows = []
+    for text in texts:
+        gap = _parse_quantity(text, "energy", si)
+        t_d = float(decoherence_time(gap, consts))
+        row = [gap, t_d, t_d / SECONDS_PER_YEAR] if si else [gap, t_d]
+        if horizon is not None:
+            row.append(t_d > horizon)
+        rows.append(row)
     return {"columns": columns, "rows": rows}, {}
 
 
@@ -379,6 +376,8 @@ def _cmd_chaos_ct(args):
     t_max = _need(args, "t_max", "--t-max")
     if not (t_max > 0):
         raise ConfigError(f"--t-max must be > 0, got {t_max!r}")
+    if not np.isfinite(t_max):
+        raise ConfigError(f"--t-max must be finite, got {t_max!r}")
     grid = np.linspace(0.0, t_max, args.grid)
     distances = ct_distance(model, grid)
     extra = {}
@@ -404,7 +403,7 @@ def _cmd_chaos_dt(args):
     extra = {}
     line = [None] * len(steps)
     if not args.no_fit:
-        est = dt_lyapunov(model, GammaKernel(n_max, tau), n_max)
+        est = dt_lyapunov(model, GammaKernel(n_max, tau))
         extra["fit"] = _fit_meta(est)
         line = np.exp(est.intercept + est.exponent * steps * tau)
     rows = [[int(n), float(d), None if f is None else float(f)]

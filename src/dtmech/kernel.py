@@ -19,7 +19,7 @@ advection probe that exhibits scheme-induced negativity on a periodic grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -94,19 +94,19 @@ class GammaKernel:
         object.__setattr__(self, "tau", float(self.tau))
 
 
-def gamma_density(kernel: GammaKernel, xi, origin: float = 0.0):
+def gamma_density(kernel: GammaKernel, xi):
     """Smearing weight as a density over internal time ``xi``.
 
-    ``((xi-origin)/tau)**(n-1) * exp(-(xi-origin)/tau) / ((n-1)! * tau)`` for
-    ``xi > origin`` and exactly 0 at or below the origin.  For ``n = 1`` the
-    density jumps to ``1/tau`` immediately above the origin; the value at the
-    origin itself is 0 by the support convention.
+    ``(xi/tau)**(n-1) * exp(-xi/tau) / ((n-1)! * tau)`` for ``xi > 0`` and
+    exactly 0 at or below the origin.  For ``n = 1`` the density jumps to
+    ``1/tau`` immediately above the origin; the value at the origin itself
+    is 0 by the support convention.
     """
-    out = np.exp(log_gamma_density(kernel, xi, origin))
+    out = np.exp(log_gamma_density(kernel, xi))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def log_gamma_density(kernel: GammaKernel, xi, origin: float = 0.0):
+def log_gamma_density(kernel: GammaKernel, xi):
     """Logarithm of :func:`gamma_density`, stable for large step counts.
 
     Uses log-gamma throughout, so step counts far beyond the overflow range
@@ -114,10 +114,9 @@ def log_gamma_density(kernel: GammaKernel, xi, origin: float = 0.0):
     """
     xi = np.asarray(xi, dtype=float)
     out = np.full_like(xi, -np.inf)
-    s = xi - origin
-    mask = s > 0.0
+    mask = xi > 0.0
     if np.any(mask):
-        out[mask] = _log_density_core(kernel, s[mask])
+        out[mask] = _log_density_core(kernel, xi[mask])
     if np.ndim(xi) == 0:
         return float(out)
     return out
@@ -153,7 +152,14 @@ class TimeSignal:
     growth_rate: float | None = None
 
 
+def _require_finite(name: str, value) -> None:
+    """Refuse a non-finite signal parameter before any transform sees it."""
+    if not np.isfinite(value):
+        raise ValueError(f"signal {name} must be finite, got {value!r}")
+
+
 def constant_signal(value: float = 1.0) -> TimeSignal:
+    _require_finite("value", value)
     return TimeSignal(lambda t: np.full_like(np.asarray(t, dtype=float), value),
                       growth_rate=0.0)
 
@@ -168,17 +174,21 @@ def monomial_signal(degree: int) -> TimeSignal:
 
 
 def cosine_signal(omega: float = 1.0) -> TimeSignal:
+    _require_finite("frequency", omega)
     return TimeSignal(lambda t: np.cos(omega * np.asarray(t, dtype=float)),
                       growth_rate=0.0)
 
 
 def complex_exponential_signal(omega: float = 1.0) -> TimeSignal:
+    _require_finite("frequency", omega)
     return TimeSignal(lambda t: np.exp(1j * omega * np.asarray(t, dtype=float)),
                       growth_rate=0.0)
 
 
 def exponential_signal(rate: float, amplitude: float = 1.0) -> TimeSignal:
     """``amplitude * exp(rate * t)`` with the rate declared as growth bound."""
+    _require_finite("rate", rate)
+    _require_finite("amplitude", amplitude)
     return TimeSignal(
         lambda t: amplitude * np.exp(rate * np.asarray(t, dtype=float)),
         growth_rate=max(rate, 0.0),
@@ -197,6 +207,8 @@ def tabulated_signal(times, values) -> TimeSignal:
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 2:
         raise ValueError("tabulated signal needs matching 1-d times/values with >= 2 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("tabulated signal times and values must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("tabulated signal times must be strictly increasing")
     t_lo, t_hi = float(t[0]), float(t[-1])
@@ -279,6 +291,9 @@ class QuadratureRule:
         if not 1 <= m <= MAX_NODE_COUNT // 2:
             raise ValueError(f"node count must lie in [1, {MAX_NODE_COUNT // 2}] "
                              f"so that it can double at least once, got {node_count!r}")
+        if not (error_target > 0.0 and math.isfinite(error_target)):
+            raise ValueError(f"error target must be finite and > 0, "
+                             f"got {error_target!r}")
         return cls(step_count=kernel.n, node_count=m,
                    error_target=float(error_target))
 
@@ -541,17 +556,14 @@ class StepScheme:
     """One-step mixing weights: ``alpha`` forward, ``beta = 1 - alpha`` backward."""
 
     alpha: float
-    beta: float = None  # type: ignore[assignment]
+    beta: float = field(init=False)
 
     def __post_init__(self):
         alpha = float(self.alpha)
-        beta = 1.0 - alpha if self.beta is None else float(self.beta)
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-        if abs(alpha + beta - 1.0) > 1e-12:
-            raise ValueError(f"alpha + beta must equal 1, got {alpha + beta!r}")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", 1.0 - alpha)
 
 
 def scheme_delta_coefficient(scheme: StepScheme, n: int) -> float:
@@ -574,7 +586,7 @@ class SchemeDecomposition:
     """Exact n-step density split: delta remnant plus gamma mixture.
 
     The n-step smearing density of a mixed scheme equals
-    ``delta_coefficient * delta(xi - origin)`` plus
+    ``delta_coefficient * delta(xi)`` plus
     ``sum_j mixture_weights[j-1] * h_j(xi)`` where ``h_j`` is the gamma
     density with integer shape ``j`` and scale ``beta*tau``.  The signed
     weights always sum (with the delta coefficient) to 1.
@@ -588,14 +600,13 @@ class SchemeDecomposition:
     def total_weight(self) -> float:
         return self.delta_coefficient + float(pairwise_sum(self.mixture_weights))
 
-    def continuous_density(self, xi, origin: float = 0.0):
+    def continuous_density(self, xi):
         """Evaluate the absolutely continuous part (the gamma mixture)."""
         xi = np.asarray(xi, dtype=float)
-        s = xi - origin
-        out = np.zeros_like(s)
-        mask = s > 0
+        out = np.zeros_like(xi)
+        mask = xi > 0
         if np.any(mask):
-            sm = s[mask]
+            sm = xi[mask]
             acc = np.zeros_like(sm)
             for w, j in zip(self.mixture_weights, self.shapes):
                 logh = _log_density_core(GammaKernel(j, self.scale), sm)
@@ -638,25 +649,30 @@ class AdvectionProbe:
 
 def advection_negativity_probe(scheme: StepScheme, kernel: GammaKernel,
                                sigma: float, domain_length: float,
-                               points: int,
-                               center: float | None = None) -> AdvectionProbe:
+                               points: int) -> AdvectionProbe:
     """Apply the n-step scheme symbol to a Gaussian under pure drift.
 
     The generator is the unit-speed advection ``-d/dxi`` on a periodic grid,
     so each step multiplies the spectrum by
     ``((1 - i alpha tau k)/(1 + i beta tau k))**n`` and the profile drifts by
-    ``n*tau`` on average.  The fully backward scheme smears the Gaussian with
-    the gamma density and stays non-negative; any forward admixture produces
-    genuine negative mass for sharp profiles.
+    ``n*tau`` on average from its start at ``(domain_length - n*tau)/2``, so
+    it ends centred in the domain.  The fully backward scheme smears the
+    Gaussian with the gamma density and stays non-negative; any forward
+    admixture produces genuine negative mass for sharp profiles.
 
-    ``points`` must be a power of two.  The profile width must satisfy
-    ``sigma >= 4*dx`` and the domain must cover drift plus ``20*sigma``,
-    otherwise :class:`GridUnderResolved` is raised.
+    ``points`` must be a power of two, ``sigma`` and ``domain_length``
+    finite and > 0.  The profile width must satisfy ``sigma >= 4*dx`` and
+    the domain must cover drift plus ``20*sigma``, otherwise
+    :class:`GridUnderResolved` is raised.
     """
     if points < 2 or points & (points - 1):
         raise ValueError(f"points must be a power of two, got {points!r}")
     if scheme.beta == 0.0:
         raise BackwardOnly("alpha = 1 (beta = 0) is outside the probe's family")
+    if not (sigma > 0.0 and math.isfinite(sigma)
+            and domain_length > 0.0 and math.isfinite(domain_length)):
+        raise ValueError(f"sigma and domain length must be finite and > 0, "
+                         f"got {sigma!r} and {domain_length!r}")
     n, tau = kernel.n, kernel.tau
     dx = domain_length / points
     drift = n * tau
@@ -670,8 +686,7 @@ def advection_negativity_probe(scheme: StepScheme, kernel: GammaKernel,
             f"domain {domain_length} shorter than drift + 20 sigma = "
             f"{drift + 20 * sigma:.3e}"
         )
-    if center is None:
-        center = 0.5 * (domain_length - drift)
+    center = 0.5 * (domain_length - drift)
     grid = dx * np.arange(points)
     initial = np.exp(-0.5 * ((grid - center) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     k = 2.0 * math.pi * np.fft.rfftfreq(points, d=dx)

@@ -27,7 +27,7 @@ after the value underflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,15 +64,17 @@ PHASE_NODE_CUTOFF = 0.05
 CONTOUR_HEIGHTS = (1 / 1024, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
 CHIRP_REL_TARGET = 1e-10
 CONTOUR_END = 12.0
+# log of the largest double: the continuous sensitivity overflows past it
+LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
 class SensitivityModel:
-    """Initial value ``a`` (|a| < 1), phase ``b = arccos a``, growth ``c > 0``."""
+    """Initial value ``a`` (|a| < 1) and growth ``c > 0``; ``b = arccos a``."""
 
     a: float
     c: float
-    b: float = None  # derived; set in __post_init__
+    b: float = field(init=False)
 
     def __post_init__(self):
         a, c = float(self.a), float(self.c)
@@ -80,16 +82,9 @@ class SensitivityModel:
             raise ValueError(f"initial value must satisfy |a| < 1, got {a!r}")
         if not (c > 0 and math.isfinite(c)):
             raise ValueError(f"growth rate must be finite and > 0, got {c!r}")
-        if self.b is None:
-            b = math.acos(a)  # principal branch
-        else:
-            b = float(self.b)
-            if abs(math.cos(b) - a) > 1e-12:
-                raise ValueError(
-                    f"phase parameter {b!r} is not an arccosine of {a!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", math.acos(a))
 
     @property
     def spread_factor(self) -> float:
@@ -129,11 +124,21 @@ def ct_position(model: SensitivityModel, t):
     return np.cos(model.b * np.exp(model.c * t))
 
 
+def _check_range(model: SensitivityModel, t_max) -> None:
+    """Refuse times whose sensitivity e^{ct}/sqrt(1-a^2) could overflow."""
+    if not (model.c * t_max + math.log(model.spread_factor) <= LOG_MAX_DOUBLE):
+        raise ValueError(
+            f"c * t = {model.c * t_max!r} leaves the float range: the "
+            f"continuous sensitivity needs c * t + log(1/sqrt(1-a^2)) "
+            f"<= {LOG_MAX_DOUBLE:.2f}")
+
+
 def ct_distance(model: SensitivityModel, t):
     """Continuous sensitivity |dx/da| = e^{ct} |sin(b e^{ct})| / sqrt(1-a^2)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("sensitivity is defined for t >= 0")
+    _check_range(model, float(np.max(t, initial=0.0)))
     growth = np.exp(model.c * t)
     return model.spread_factor * np.abs(np.sin(model.b * growth)) * growth
 
@@ -172,6 +177,7 @@ def ct_lyapunov(model: SensitivityModel, t_max: float,
     """
     if not (model.c * t_max >= 10.0):
         raise ValueError("window too short: need c * t_max >= 10")
+    _check_range(model, t_max)
     if samples < 10:
         raise ValueError("need at least 10 samples")
     t = np.linspace(0.5 * t_max, t_max, samples)
@@ -317,32 +323,29 @@ def _growth_parameter(model: SensitivityModel, kernel: GammaKernel) -> float:
     return lam
 
 
-def dt_sensitivity(model: SensitivityModel, kernel: GammaKernel,
-                   n: int | None = None) -> ChirpedExpectation:
+def dt_sensitivity(model: SensitivityModel,
+                   kernel: GammaKernel) -> ChirpedExpectation:
     """Signed smeared derivative of the trajectory in its initial value.
 
     The gamma-weighted average of dx/da = e^{ct} sin(b e^{ct}) / sqrt(1-a^2)
-    at step count ``n`` (default: the kernel's); keeps sign, log-magnitude,
-    and method so fits and cross-checks can use whichever form survives
-    underflow.
+    at the kernel's step count; keeps sign, log-magnitude, and method so
+    fits and cross-checks can use whichever form survives underflow.
     """
-    n = kernel.n if n is None else int(n)
     lam = _growth_parameter(model, kernel)
-    raw = chirped_sine_expectation(n, lam, model.b)
+    raw = chirped_sine_expectation(kernel.n, lam, model.b)
     f = model.spread_factor
     return ChirpedExpectation(f * raw.value,
                               raw.log_magnitude + math.log(f),
                               f * raw.error, raw.method)
 
 
-def dt_distance(model: SensitivityModel, kernel: GammaKernel,
-                n: int | None = None) -> float:
-    """Magnitude of the smeared sensitivity at step ``n``.
+def dt_distance(model: SensitivityModel, kernel: GammaKernel) -> float:
+    """Magnitude of the smeared sensitivity at the kernel's step count.
 
     Stays below ``2/(b c tau sqrt(1-a^2))`` for every step count — where
     the continuous sensitivity grows without bound, the smeared one cannot.
     """
-    return abs(dt_sensitivity(model, kernel, n).value)
+    return abs(dt_sensitivity(model, kernel).value)
 
 
 def dt_bound(model: SensitivityModel, kernel: GammaKernel) -> float:
@@ -350,33 +353,33 @@ def dt_bound(model: SensitivityModel, kernel: GammaKernel) -> float:
     return 2.0 * model.spread_factor / (model.b * model.c * kernel.tau)
 
 
-def dt_lyapunov(model: SensitivityModel, kernel: GammaKernel,
-                n_max: int) -> LyapunovEstimate:
+def dt_lyapunov(model: SensitivityModel,
+                kernel: GammaKernel) -> LyapunovEstimate:
     """Slope of log d_dt(n) against n*tau over the late half of 1..n_max.
 
-    Requires ``n_max * tau * c >= 10`` (same window rule as the continuous
-    fit).  Underflowed samples are dropped via the log-magnitude channel;
-    the residual of the fit is always part of the result, and a residual
-    beyond :data:`FIT_RESIDUAL_LIMIT` raises :class:`FitUnstable` carrying
-    the estimate — a strongly curved decay has no meaningful single slope.
+    ``n_max`` is the kernel's step count.  Requires ``n_max * tau * c >= 10``
+    (same window rule as the continuous fit).  Underflowed samples are
+    dropped via the log-magnitude channel; the residual of the fit is always
+    part of the result, and a residual beyond :data:`FIT_RESIDUAL_LIMIT`
+    raises :class:`FitUnstable` carrying the estimate — a strongly curved
+    decay has no meaningful single slope.
     """
-    n_max = int(n_max)
+    n_max, tau = kernel.n, kernel.tau
     if not (n_max * kernel.tau * model.c >= 10.0):
         raise ValueError("window too short: need n_max * tau * c >= 10")
     _growth_parameter(model, kernel)
     ns = np.arange(max(1, n_max // 2), n_max + 1)
-    logs = np.array([dt_sensitivity(model, kernel, int(n)).log_magnitude
-                     for n in ns])
-    return _fit_log_slope(ns * kernel.tau, logs, "smeared sensitivity")
+    logs = np.array([dt_sensitivity(model, GammaKernel(int(n), tau))
+                     .log_magnitude for n in ns])
+    return _fit_log_slope(ns * tau, logs, "smeared sensitivity")
 
 
 # ---------------------------------------------------------------------------
 # asymptotic maps
 
 
-def power_law_map(alpha: float, kernel: GammaKernel,
-                  last: int | None = None) -> np.ndarray:
-    """Smeared power t^alpha at steps 1..last: tau^alpha Gamma(n+alpha)/Gamma(n).
+def power_law_map(alpha: float, kernel: GammaKernel) -> np.ndarray:
+    """Smeared power t^alpha at steps 1..n: tau^alpha Gamma(n+alpha)/Gamma(n).
 
     Needs ``alpha > -1`` for the integral to exist at the origin.  The ratio
     to the naive (n tau)^alpha tends to 1, so power-law asymptotics keep
@@ -385,10 +388,7 @@ def power_law_map(alpha: float, kernel: GammaKernel,
     alpha = float(alpha)
     if not (alpha > -1.0 and math.isfinite(alpha)):
         raise ValueError(f"exponent must be finite and > -1, got {alpha!r}")
-    last = kernel.n if last is None else int(last)
-    if last < 1:
-        raise ValueError(f"need at least one step, got {last}")
-    n = np.arange(1, last + 1, dtype=float)
+    n = np.arange(1, kernel.n + 1, dtype=float)
     return np.exp(alpha * math.log(kernel.tau) + gammaln(n + alpha)
                   - gammaln(n))
 

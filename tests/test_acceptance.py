@@ -252,7 +252,7 @@ def test_criterion_08_sensitivity_growth_contrast():
         # test_contour_oracle_curve_has_no_single_slope), and a flat or
         # growing curve would fail them.
         with pytest.raises(FitUnstable) as exc:
-            dt_lyapunov(model, GammaKernel(200, tau), 200)
+            dt_lyapunov(model, GammaKernel(200, tau))
         assert exc.value.residual > FIT_RESIDUAL_LIMIT
         assert exc.value.estimate <= -5.0
         assert abs(exc.value.estimate - (-14.109)) <= 0.01

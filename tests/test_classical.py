@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtmech import classical
 from dtmech import (
@@ -13,7 +14,6 @@ from dtmech import (
     PhaseState,
     StiffnessFailure,
     TimeSignal,
-    continuous_trajectory,
     evolve_observable,
     free_particle_moments,
     quadrature_moments,
@@ -251,7 +251,7 @@ def test_scaled_oscillator_rejects_bad_frequency():
 
 def test_free_particle_trajectory_closed_form():
     s = PhaseState([1.0, 0.0], [2.0, -1.0], [2.0, 4.0])
-    traj = continuous_trajectory(FreeParticle(), s, t_max=10.0)
+    traj = FreeParticle().trajectory(s, t_max=10.0)
     x, p = traj.state_at([0.0, 3.0])
     np.testing.assert_allclose(x[1], [1.0 + 3.0, -0.75], rtol=1e-15)
     np.testing.assert_allclose(p[1], [2.0, -1.0], rtol=0)
@@ -259,7 +259,7 @@ def test_free_particle_trajectory_closed_form():
 
 def test_oscillator_trajectory_closed_form():
     s = PhaseState([1.0], [0.0], [1.0])
-    traj = continuous_trajectory(HarmonicOscillator(), s, t_max=100.0)
+    traj = HarmonicOscillator().trajectory(s, t_max=100.0)
     t = np.linspace(0.0, 50.0, 7)
     x, p = traj.state_at(t)
     np.testing.assert_allclose(x[:, 0], np.cos(t), atol=1e-14)
@@ -270,18 +270,17 @@ def test_custom_field_decay_matches_exponential():
     # dx/dt = -x from x(0) = 2
     model = CustomField(lambda x: -x)
     s = PhaseState([2.0], [0.0], [1.0])
-    traj = continuous_trajectory(model, s, t_max=5.0, tolerance=1e-11)
+    traj = model.trajectory(s, t_max=5.0, tolerance=1e-11)
     t = np.array([0.0, 0.5, 1.0, 4.0])
     x, p = traj.state_at(t)
     np.testing.assert_allclose(x[:, 0], 2.0 * np.exp(-t), rtol=1e-9)
     np.testing.assert_array_equal(p, 0.0)
-    assert traj.steps.size > 0
 
 
 def test_custom_field_trajectory_refuses_times_past_its_end():
     model = CustomField(lambda x: -x)
     s = PhaseState([2.0], [0.0], [1.0])
-    traj = continuous_trajectory(model, s, t_max=2.0, tolerance=1e-11)
+    traj = model.trajectory(s, t_max=2.0, tolerance=1e-11)
     x, _ = traj.state_at([2.0])
     assert x[0, 0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-9)
     with pytest.raises(ValueError, match="covers"):
@@ -311,7 +310,7 @@ def test_fast_rotation_field_is_solved_once(monkeypatch):
 
 def test_trajectory_rejects_negative_time():
     s = PhaseState([1.0], [1.0], [1.0])
-    traj = continuous_trajectory(FreeParticle(), s, t_max=5.0)
+    traj = FreeParticle().trajectory(s, t_max=5.0)
     with pytest.raises(ValueError):
         traj.state_at([-0.1])
 
@@ -320,7 +319,7 @@ def test_custom_field_blowup_raises_stiffness():
     model = CustomField(lambda x: x * x)  # blows up at t = 1 from x0 = 1
     s = PhaseState([1.0], [0.0], [1.0])
     with pytest.raises(StiffnessFailure):
-        continuous_trajectory(model, s, t_max=2.0)
+        model.trajectory(s, t_max=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +464,47 @@ def test_quadrature_report_custom_field_has_nan_energy():
     np.testing.assert_array_equal(rep.mean_momenta, 0.0)
 
 
+_COORD = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _moment_cases(draw):
+    """(oscillator?, state, tau, steps): dof 1-3, |x|, |p| <= 2, N <= 30;
+    free particles get masses in [0.5, 3], oscillators unit masses."""
+    dof = draw(st.integers(1, 3))
+    oscillator = draw(st.booleans())
+    coords = st.lists(_COORD, min_size=dof, max_size=dof)
+    masses = ([1.0] * dof if oscillator else
+              draw(st.lists(st.floats(0.5, 3.0), min_size=dof, max_size=dof)))
+    state = PhaseState(draw(coords), draw(coords), masses)
+    tau, steps = draw(st.floats(0.05, 0.5)), draw(st.integers(0, 30))
+    return oscillator, state, tau, steps
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_moment_cases())
+def test_quadrature_moments_match_closed_forms_on_random_states(case):
+    oscillator, state, tau, steps = case
+    kernel = GammaKernel(max(1, steps), tau)
+    model, closed = ((HarmonicOscillator(), sho_moments) if oscillator
+                     else (FreeParticle(), free_particle_moments))
+    want = closed(state, kernel, steps=steps)
+    got = quadrature_moments(model, state, kernel, steps=steps)
+    for name in ("mean_positions", "mean_momenta", "second_positions",
+                 "second_momenta", "energy"):
+        exact, routed = getattr(want, name), getattr(got, name)
+        assert routed.shape == exact.shape
+        assert np.all(np.abs(routed - exact)
+                      <= 1e-10 * np.maximum(1.0, np.abs(exact))), name
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 
 
 def test_report_variance_floor_snaps_roundoff():
     second = np.array([[[4.0 - 1e-14]]])
-    rep = MomentReport(tau=1.0, steps=np.array([0]),
+    rep = MomentReport(steps=np.array([0]),
                        mean_positions=np.array([[2.0]]),
                        mean_momenta=np.array([[0.0]]),
                        second_positions=second,
@@ -479,7 +512,7 @@ def test_report_variance_floor_snaps_roundoff():
                        energy=np.array([0.0]))
     assert rep.position_variances()[0, 0] == 0.0
     # genuinely negative stays visible
-    bad = MomentReport(tau=1.0, steps=np.array([0]),
+    bad = MomentReport(steps=np.array([0]),
                        mean_positions=np.array([[2.0]]),
                        mean_momenta=np.array([[0.0]]),
                        second_positions=np.array([[[3.0]]]),
@@ -490,7 +523,7 @@ def test_report_variance_floor_snaps_roundoff():
 
 def test_report_shape_validation():
     with pytest.raises(ValueError):
-        MomentReport(tau=1.0, steps=np.array([0, 1]),
+        MomentReport(steps=np.array([0, 1]),
                      mean_positions=np.zeros((2, 2)),
                      mean_momenta=np.zeros((2, 2)),
                      second_positions=np.zeros((2, 2, 2)),

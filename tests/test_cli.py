@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,45 @@ def test_nodes_must_leave_room_to_double(tmp_path, capsys):
     code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
                        "--nodes", "256"], tmp_path)
     assert code == 0
+
+
+_TRANSFORM = ["transform", "--n", "3", "--tau", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    _TRANSFORM + ["--signal", "cos", "--omega", "nan"],
+    _TRANSFORM + ["--signal", "cos", "--omega", "inf"],
+    _TRANSFORM + ["--signal", "cexp", "--omega", "nan"],
+    _TRANSFORM + ["--signal", "const", "--value", "nan"],
+    _TRANSFORM + ["--signal", "exp", "--rate", "nan"],
+    _TRANSFORM + ["--signal", "exp", "--rate", "0.5", "--value", "inf"],
+    _TRANSFORM + ["--signal", "cos", "--error-target", "nan"],
+    _TRANSFORM + ["--signal", "table", "--table", "{table}"],
+    _TRANSFORM + ["--signal", "cos", "--omega", "nan", "--method",
+                  "monte-carlo", "--samples", "1000", "--seed", "1"],
+    ["chaos", "ct", "--a", "0.5", "--t-max", "710"],
+    ["chaos", "ct", "--a", "0.5", "--t-max", "800"],
+    ["chaos", "ct", "--a", "0.5", "--t-max", "800", "--no-fit"],
+    ["chaos", "ct", "--a", "0.5", "--t-max", "inf"],
+    ["alpha-scan", "--sigma", "nan", "--n-max", "1"],
+    ["alpha-scan", "--length", "inf", "--n-max", "1"],
+], ids=" ".join)
+def test_non_finite_or_overflowing_input_is_one_config_error(tmp_path, capsys,
+                                                             argv):
+    # refused up front: no nan payload, no numpy warning, no numerical
+    # failure blamed on the method
+    table = tmp_path / "nan.csv"
+    table.write_text("t,value\n0,1\n1,nan\n500,1\n")
+    argv = [str(table) if a == "{table}" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(argv)
+    assert code == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(("ValueError: ", "ConfigError: "))
 
 
 def test_divergent_growth_exits_3(capsys):

@@ -44,9 +44,10 @@ def moment_exact(n, tau, k):
 @pytest.mark.parametrize("n,tau,origin", [(1, 1.0, 0.0), (3, 0.5, 0.0),
                                           (7, 2.0, 1.5), (40, 0.1, -2.0)])
 def test_density_matches_reference_pdf(n, tau, origin):
+    # a history that starts at ``origin`` is weighted at its offsets from it
     ker = GammaKernel(n, tau)
     xi = origin + np.linspace(1e-6, 12 * n * tau, 400)
-    ours = gamma_density(ker, xi, origin=origin)
+    ours = gamma_density(ker, xi - origin)
     ref = gamma_dist.pdf(xi - origin, a=n, scale=tau)
     np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-300)
 
@@ -58,8 +59,8 @@ def test_density_support_and_jump():
     # immediately above the origin the n=1 density sits at 1/tau
     assert gamma_density(ker, 1e-12) == pytest.approx(4.0, rel=1e-9)
     ker5 = GammaKernel(5, 1.0)
-    assert gamma_density(ker5, 2.0, origin=2.0) == 0.0
-    assert log_gamma_density(ker5, 2.0, origin=2.0) == -np.inf
+    assert gamma_density(ker5, 0.0) == 0.0
+    assert log_gamma_density(ker5, 0.0) == -np.inf
 
 
 def test_log_density_large_step_count_is_finite():
@@ -76,13 +77,13 @@ def test_density_is_the_exponential_of_its_log(n):
     # origin, for scalars and arrays
     ker = GammaKernel(n, 0.7)
     xi = np.array([-2.0, 0.0, 1e-300, 1e-9, 0.35, 0.7 * n, 3.0 * n, 5e3])
-    for origin in (0.0, 0.35):
-        dens = gamma_density(ker, xi, origin=origin)
-        assert np.array_equal(dens, np.exp(log_gamma_density(ker, xi, origin=origin)))
-        for x in xi:
-            one = gamma_density(ker, float(x), origin=origin)
+    for shift in (0.0, 0.35):
+        dens = gamma_density(ker, xi - shift)
+        assert np.array_equal(dens, np.exp(log_gamma_density(ker, xi - shift)))
+        for x in xi - shift:
+            one = gamma_density(ker, float(x))
             assert type(one) is float
-            assert one == np.exp(log_gamma_density(ker, float(x), origin=origin))
+            assert one == np.exp(log_gamma_density(ker, float(x)))
     assert gamma_density(ker, 0.0) == 0.0 and gamma_density(ker, -1.0) == 0.0
 
 
@@ -468,6 +469,28 @@ def test_tabulated_signal_validation():
         tabulated_signal([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_signal_parameters_must_be_finite(bad):
+    # a non-finite parameter is a configuration error, refused before any
+    # transform could report it as a numerical failure or a nan value
+    for make in (lambda: constant_signal(bad), lambda: cosine_signal(bad),
+                 lambda: complex_exponential_signal(bad),
+                 lambda: exponential_signal(bad),
+                 lambda: exponential_signal(0.5, bad),
+                 lambda: tabulated_signal([0.0, 1.0, 2.0], [1.0, bad, 1.0]),
+                 lambda: tabulated_signal([0.0, 1.0, bad], [1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    finite = constant_signal(-2.5).evaluate(np.array([0.0, 3.0]))
+    assert finite.tolist() == [-2.5, -2.5]
+
+
+@pytest.mark.parametrize("target", [0.0, -1e-10, math.nan, math.inf])
+def test_rule_error_target_must_be_finite_and_positive(target):
+    with pytest.raises(ValueError, match="error target"):
+        QuadratureRule.for_kernel(GammaKernel(3, 0.5), error_target=target)
+
+
 def test_continuum_limit_of_cosine():
     # fixed physical time t = n*tau = 1: the smeared cosine approaches
     # cos(1) with error shrinking like 1/n
@@ -597,10 +620,11 @@ def test_real_values_give_a_float_transform():
 
 def test_scheme_validation():
     StepScheme(0.5)
-    StepScheme(0.25, 0.75)
+    assert StepScheme(0.25).beta == 0.75
     with pytest.raises(ValueError):
         StepScheme(1.2)
-    with pytest.raises(ValueError):
+    # beta is derived from alpha, never passed in
+    with pytest.raises(TypeError):
         StepScheme(0.3, 0.3)
 
 
@@ -710,3 +734,14 @@ def test_probe_guards():
     with pytest.raises(errors.BackwardOnly):
         advection_negativity_probe(StepScheme(1.0), ker, sigma=0.1,
                                    domain_length=8.0, points=1024)
+
+
+@pytest.mark.parametrize("sigma, length", [(math.nan, 8.0), (0.0, 8.0),
+                                           (-0.1, 8.0), (0.1, math.inf),
+                                           (0.1, math.nan), (0.1, -8.0)])
+def test_probe_refuses_non_finite_or_non_positive_sizes(sigma, length):
+    # not a resolution problem of the grid: the inputs themselves are bad
+    with pytest.raises(ValueError, match="finite and > 0"):
+        advection_negativity_probe(StepScheme(0.5), GammaKernel(1, 0.1),
+                                   sigma=sigma, domain_length=length,
+                                   points=1024)

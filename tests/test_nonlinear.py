@@ -123,10 +123,10 @@ def test_model_validation():
         SensitivityModel(a=-1.5, c=1.0)
     with pytest.raises(ValueError):
         SensitivityModel(a=0.5, c=0.0)
-    with pytest.raises(ValueError):
-        SensitivityModel(a=0.5, c=1.0, b=1.3)  # cos(1.3) != 0.5
-    ok = SensitivityModel(a=0.5, c=1.0, b=math.acos(0.5))
-    assert ok.b == B_HALF
+    # the phase is derived from a, never passed in
+    with pytest.raises(TypeError):
+        SensitivityModel(a=0.5, c=1.0, b=B_HALF)
+    assert SensitivityModel(a=0.5, c=1.0).b == B_HALF
 
 
 def test_ct_distance_at_zero_is_one():
@@ -154,6 +154,24 @@ def test_ct_distance_envelope_bound_and_domain():
     assert np.all(d >= 0.0)
     with pytest.raises(ValueError):
         ct_distance(HALF, -1.0)
+
+
+def test_ct_refuses_times_whose_sensitivity_overflows():
+    # e^{ct} / sqrt(1 - a^2) must stay a double: past that the curve would
+    # be inf and the fit nan, so both refuse before computing anything
+    edge = 709.0
+    assert np.all(np.isfinite(ct_distance(HALF, [0.0, edge])))
+    for t_max in (710.0, 800.0, math.inf):
+        with pytest.raises(ValueError, match="float range"):
+            ct_distance(HALF, [0.0, t_max])
+        with pytest.raises(ValueError, match="float range"):
+            ct_lyapunov(HALF, t_max)
+    with pytest.raises(ValueError, match="float range"):
+        ct_distance(HALF, math.nan)
+    # a near +-1 widens the prefactor, so the limit moves below 709.78
+    steep = SensitivityModel(a=1.0 - 1e-12, c=1.0)
+    with pytest.raises(ValueError, match="float range"):
+        ct_distance(steep, 700.0)
 
 
 def test_ct_lyapunov_recovers_rate():
@@ -254,10 +272,9 @@ def test_chirp_saddle_self_consistency_deep():
 def test_dt_sensitivity_matches_contour_oracle_deep():
     # the smeared sensitivity across dt_lyapunov's window at n_max = 200,
     # tau = 0.1, where only the saddle tier can resolve it
-    k = GammaKernel(1, 0.1)
     for n in (100, 125, 150, 175, 200):
         sign, log_raw = _contour_oracle(n, 0.1, B_HALF)
-        r = dt_sensitivity(HALF, k, n)
+        r = dt_sensitivity(HALF, GammaKernel(n, 0.1))
         assert math.copysign(1.0, r.value) == sign
         log_want = log_raw + math.log(HALF.spread_factor)
         assert abs(r.log_magnitude - log_want) <= 1e-9
@@ -320,14 +337,13 @@ def test_chirp_stops_doubling_once_roundoff_exceeds_target():
 
 
 def test_dt_sensitivity_agrees_with_transform_quadrature():
-    k = GammaKernel(1, 0.1)
     for n in (1, 3, 8):
         sig = TimeSignal(
             lambda t: HALF.spread_factor * np.exp(HALF.c * np.asarray(t))
             * np.sin(HALF.b * np.exp(HALF.c * np.asarray(t))),
             growth_rate=HALF.c)
         direct = transform_quadrature(sig, GammaKernel(n, 0.1))
-        mine = dt_sensitivity(HALF, k, n)
+        mine = dt_sensitivity(HALF, GammaKernel(n, 0.1))
         assert mine.value == pytest.approx(direct.value, rel=1e-8)
 
 
@@ -343,7 +359,7 @@ def test_dt_sensitivity_matches_finite_difference_of_transformed_motion():
                 m.b * np.exp(m.c * np.asarray(t))), growth_rate=0.0)
             vals[sign] = transform_quadrature(sig, k).value
         fd = (vals[+1] - vals[-1]) / (2.0 * delta)
-        assert dt_sensitivity(HALF, k, n).value == pytest.approx(fd, rel=1e-4)
+        assert dt_sensitivity(HALF, k).value == pytest.approx(fd, rel=1e-4)
 
 
 def test_dt_distance_near_step_one_small_growth():
@@ -358,7 +374,7 @@ def test_dt_distance_bound_holds_up_to_n_500():
     assert bound == pytest.approx(22.05, abs=0.01)
     worst = 0.0
     for n in list(range(1, 201)) + [300, 400, 500]:
-        worst = max(worst, dt_distance(HALF, k, n))
+        worst = max(worst, dt_distance(HALF, GammaKernel(n, k.tau)))
     assert worst <= bound
     # the bound is generous, not saturated
     assert worst < 0.2 * bound
@@ -369,23 +385,23 @@ def test_dt_distance_bound_other_model():
     k = GammaKernel(1, 0.15)  # growth 0.3 per step
     bound = dt_bound(m, k)
     for n in (1, 5, 10, 20, 40, 60):
-        assert dt_distance(m, k, n) <= bound
+        assert dt_distance(m, GammaKernel(n, k.tau)) <= bound
 
 
 def test_dt_distance_grey_zone_resolves():
     # growth 0.6 per step at n = 10, against mpmath on the CHIRP_MPMATH paths
     m = SensitivityModel(a=-0.3, c=2.0)
-    k = GammaKernel(1, 0.3)
-    r = dt_sensitivity(m, k, 10)
+    k = GammaKernel(10, 0.3)
+    r = dt_sensitivity(m, k)
     assert abs(r.value - m.spread_factor * -6.0748874141648597e-6) <= r.error
-    assert dt_distance(m, k, 10) == abs(r.value)
+    assert dt_distance(m, k) == abs(r.value)
 
 
 def test_dt_distance_rejects_marginal_growth():
     with pytest.raises(DivergentTransform):
-        dt_distance(HALF, GammaKernel(1, 1.0), 5)
+        dt_distance(HALF, GammaKernel(5, 1.0))
     with pytest.raises(DivergentTransform):
-        dt_distance(SensitivityModel(a=0.5, c=2.0), GammaKernel(1, 0.6), 5)
+        dt_distance(SensitivityModel(a=0.5, c=2.0), GammaKernel(5, 0.6))
 
 
 def test_dt_continuum_limit_approaches_ct():
@@ -393,7 +409,7 @@ def test_dt_continuum_limit_approaches_ct():
     target = float(ct_distance(HALF, 2.0))
     gaps = []
     for tau, n in ((0.1, 20), (0.01, 200)):
-        d = dt_distance(HALF, GammaKernel(1, tau), n)
+        d = dt_distance(HALF, GammaKernel(n, tau))
         gaps.append(abs(d - target))
     assert gaps[1] < gaps[0]
 
@@ -402,9 +418,8 @@ def test_dt_lyapunov_flags_curved_decay():
     # the smeared sensitivity does not settle on any exponential rate: its
     # log-distance curve is concave (it falls ever faster), so the fit
     # publishes the instability instead of a slope
-    k = GammaKernel(1, 0.1)
     with pytest.raises(FitUnstable) as exc:
-        dt_lyapunov(HALF, k, 400)
+        dt_lyapunov(HALF, GammaKernel(400, 0.1))
     assert exc.value.residual > 2.0
     # whatever line one forces through it is steeply negative, nowhere
     # near the continuous rate c = 1
@@ -413,7 +428,7 @@ def test_dt_lyapunov_flags_curved_decay():
 
 def test_dt_lyapunov_window_precondition():
     with pytest.raises(ValueError, match="window"):
-        dt_lyapunov(HALF, GammaKernel(1, 0.1), 50)  # n tau c = 5 < 10
+        dt_lyapunov(HALF, GammaKernel(50, 0.1))  # n tau c = 5 < 10
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +479,6 @@ def test_power_law_validation():
     k = GammaKernel(5, 1.0)
     with pytest.raises(ValueError):
         power_law_map(-1.0, k)
-    with pytest.raises(ValueError):
-        power_law_map(0.5, k, last=0)
 
 
 def test_exponential_map_values_and_enhancement():
@@ -510,7 +523,7 @@ def test_contrast_continuous_grows_discrete_does_not():
     est_ct = ct_lyapunov(HALF, 20.0)
     assert est_ct.exponent >= 0.95 * HALF.c
     k = GammaKernel(1, 0.1)
-    d_small = dt_distance(HALF, k, 10)
-    d_large = dt_distance(HALF, k, 400)
+    d_small = dt_distance(HALF, GammaKernel(10, k.tau))
+    d_large = dt_distance(HALF, GammaKernel(400, k.tau))
     assert d_large < 1e-100 * max(d_small, 1e-30) or d_large < d_small
     assert d_large <= dt_bound(HALF, k)
