@@ -9,6 +9,7 @@ forms, so both produce the same :class:`MomentReport` shape.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ __all__ = [
     "quadrature_moments",
     "observable_signal",
 ]
+
+#: Relative tolerance of the ODE solver for a :class:`CustomField`; its
+#: absolute tolerance is a hundredth of it.
+ODE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,8 @@ class PhaseState:
 class FreeParticle:
     """H = sum p_i^2 / 2 m_i: straight-line trajectories, exact closed forms."""
 
-    def trajectory(self, state: PhaseState, t_max: float = math.inf,
-                   tolerance: float = 1e-10) -> "Trajectory":
+    def trajectory(self, state: PhaseState,
+                   t_max: float = math.inf) -> "Trajectory":
         x0, p0, m = state.positions, state.momenta, state.masses
         vel = p0 / m
 
@@ -90,8 +95,8 @@ class HarmonicOscillator:
     (mass, frequency) is a rescaling handled by :func:`sho_moments_scaled`.
     """
 
-    def trajectory(self, state: PhaseState, t_max: float = math.inf,
-                   tolerance: float = 1e-10) -> "Trajectory":
+    def trajectory(self, state: PhaseState,
+                   t_max: float = math.inf) -> "Trajectory":
         _require_unit_masses(state)
         r = np.hypot(state.positions, state.momenta)
         theta = np.arctan2(state.positions, state.momenta)
@@ -118,9 +123,8 @@ class CustomField:
     def __init__(self, field):
         self.field = field
 
-    def trajectory(self, state: PhaseState, t_max: float,
-                   tolerance: float = 1e-10) -> "Trajectory":
-        return _integrate_field(self.field, state.positions, t_max, tolerance)
+    def trajectory(self, state: PhaseState, t_max: float) -> "Trajectory":
+        return _integrate_field(self.field, state.positions, t_max)
 
 
 def _require_unit_masses(state: PhaseState) -> None:
@@ -153,12 +157,12 @@ class Trajectory:
         return self._evaluate(t)
 
 
-def _integrate_field(fieldfn, y0, t_max: float, tolerance: float) -> Trajectory:
+def _integrate_field(fieldfn, y0, t_max: float) -> Trajectory:
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
     sol = solve_ivp(lambda t, y: np.asarray(fieldfn(y), dtype=float),
                     (0.0, t_max), y0, method="DOP853", dense_output=True,
-                    rtol=tolerance, atol=tolerance * 1e-2)
+                    rtol=ODE_TOLERANCE, atol=ODE_TOLERANCE * 1e-2)
     if not sol.success:
         raise StiffnessFailure(
             f"integration stalled before t={t_max}: {sol.message}"
@@ -175,6 +179,24 @@ def _integrate_field(fieldfn, y0, t_max: float, tolerance: float) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # moment reports
+
+
+def _in_float_range(report):
+    """Refuse, as ``ValueError``, a report whose arithmetic overflows or
+    turns invalid: a finite state can still have moments past the largest
+    double, which would come back as ``inf`` or ``nan`` after numpy
+    warnings, or fail the quadrature as if the method were at fault."""
+
+    @functools.wraps(report)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return report(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValueError(f"{report.__name__}: the state's observables "
+                             f"leave the float range ({exc})") from None
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -255,6 +277,7 @@ def _step_range(kernel: GammaKernel, steps: int | None) -> np.ndarray:
     return np.arange(last + 1)
 
 
+@_in_float_range
 def free_particle_moments(state: PhaseState, kernel: GammaKernel,
                           steps: int | None = None) -> MomentReport:
     """Closed-form free-particle report over ``n = 0..steps``.
@@ -277,6 +300,7 @@ def free_particle_moments(state: PhaseState, kernel: GammaKernel,
                         second_momenta=second_p, energy=energy)
 
 
+@_in_float_range
 def sho_moments(state: PhaseState, kernel: GammaKernel,
                 steps: int | None = None) -> MomentReport:
     """Closed-form unit-oscillator report over ``n = 0..steps``.
@@ -321,6 +345,7 @@ def sho_moments(state: PhaseState, kernel: GammaKernel,
                         second_momenta=second_p, energy=energy)
 
 
+@_in_float_range
 def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
                        omega: float = 1.0,
                        steps: int | None = None) -> MomentReport:
@@ -356,14 +381,13 @@ def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
 # quadrature route
 
 
-def observable_signal(trajectory: Trajectory, func,
-                      growth_rate: float | None = None) -> TimeSignal:
+def observable_signal(trajectory: Trajectory, func) -> TimeSignal:
     """Time signal t -> func(x(t), p(t)) along a trajectory.
 
     ``func`` must be vectorized over the leading axis: it receives arrays of
     shape ``(m, dof)`` and returns shape ``(m,)``, or ``(m, k)`` for ``k``
-    observables.  Without a declared growth rate the transform's divergence
-    screening probes the signal far beyond the weight's bulk, out to the
+    observables.  The signal declares no growth rate, so the transform's
+    divergence screening probes it far beyond the weight's bulk, out to the
     :func:`~dtmech.kernel.screening_horizon`.
     """
 
@@ -371,12 +395,12 @@ def observable_signal(trajectory: Trajectory, func,
         x, p = trajectory.state_at(np.atleast_1d(t))
         return np.asarray(func(x, p))
 
-    return TimeSignal(evaluate, growth_rate=growth_rate)
+    return TimeSignal(evaluate)
 
 
+@_in_float_range
 def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
-                      steps: int | None = None,
-                      growth_rate: float | None = None) -> np.ndarray:
+                      steps: int | None = None) -> np.ndarray:
     """Smeared observable values over ``n = 0..steps``.
 
     Row ``n`` is the gamma transform (at step count ``n``) of the signal
@@ -388,9 +412,8 @@ def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
     """
     n_values = _step_range(kernel, steps)
     last = GammaKernel(max(int(n_values[-1]), 1), kernel.tau)
-    horizon = screening_horizon(last, growth_rate)
-    trajectory = model.trajectory(state, t_max=horizon)
-    signal = observable_signal(trajectory, func, growth_rate=growth_rate)
+    trajectory = model.trajectory(state, t_max=screening_horizon(last))
+    signal = observable_signal(trajectory, func)
     x0 = state.positions[None, :]
     p0 = state.momenta[None, :]
     values = [np.asarray(func(x0, p0), dtype=float)[0]]

@@ -110,11 +110,12 @@ def log_gamma_density(kernel: GammaKernel, xi):
     """Logarithm of :func:`gamma_density`, stable for large step counts.
 
     Uses log-gamma throughout, so step counts far beyond the overflow range
-    of ``(n-1)!`` are fine.  Returns ``-inf`` on or below the origin.
+    of ``(n-1)!`` are fine.  Returns ``-inf`` on or below the origin and at
+    ``+inf``, where the density is 0.
     """
     xi = np.asarray(xi, dtype=float)
     out = np.full_like(xi, -np.inf)
-    mask = xi > 0.0
+    mask = (xi > 0.0) & (xi < np.inf)
     if np.any(mask):
         out[mask] = _log_density_core(kernel, xi[mask])
     if np.ndim(xi) == 0:
@@ -273,29 +274,21 @@ class QuadratureRule:
 
     The rules themselves integrate against the *normalized* weight
     ``u**(n-1) exp(-u) / (n-1)!`` (their weights sum to 1) and are built as
-    doubling reaches them.  ``node_count`` is where doubling starts:
-    :data:`FIRST_NODE_COUNT` by default, at most half of
-    :data:`MAX_NODE_COUNT`, so that it doubles.  ``error_target`` is the
-    relative target used both for node-doubling acceptance and for the panel
-    fallback.
+    doubling reaches them, from :data:`FIRST_NODE_COUNT` nodes up.
+    ``error_target`` is the relative target used both for node-doubling
+    acceptance and for the panel fallback.
     """
 
     step_count: int
-    node_count: int
     error_target: float = 1e-10
 
     @classmethod
-    def for_kernel(cls, kernel: GammaKernel, node_count: int | None = None,
+    def for_kernel(cls, kernel: GammaKernel,
                    error_target: float = 1e-10) -> "QuadratureRule":
-        m = FIRST_NODE_COUNT if node_count is None else int(node_count)
-        if not 1 <= m <= MAX_NODE_COUNT // 2:
-            raise ValueError(f"node count must lie in [1, {MAX_NODE_COUNT // 2}] "
-                             f"so that it can double at least once, got {node_count!r}")
         if not (error_target > 0.0 and math.isfinite(error_target)):
             raise ValueError(f"error target must be finite and > 0, "
                              f"got {error_target!r}")
-        return cls(step_count=kernel.n, node_count=m,
-                   error_target=float(error_target))
+        return cls(step_count=kernel.n, error_target=float(error_target))
 
 
 class TransformResult(NamedTuple):
@@ -318,17 +311,14 @@ class MonteCarloEstimate(NamedTuple):
     standard_error: float
 
 
-def screening_horizon(kernel: GammaKernel,
-                      growth_rate: float | None = None) -> float:
+def screening_horizon(kernel: GammaKernel) -> float:
     """``tau U(n)``, ``U(n) = 2 (n + 10 sqrt(n) + 50) + 1``: the end of the
     screening's far window, where the weight is spent, and the latest time
     any transform at ``kernel`` evaluates its signal.  A declared growth
-    rate ``g > 0`` is absorbed into the weight, making the quantum
-    ``tau / (1 - g tau)``."""
-    n, tau = kernel.n, kernel.tau
-    if growth_rate is not None and growth_rate > 0.0:
-        tau = tau / (1.0 - growth_rate * tau)
-    return tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
+    rate ``g > 0`` moves that time to the horizon of the quantum
+    ``tau / (1 - g tau)``, at which :func:`transform_quadrature` works."""
+    n = kernel.n
+    return kernel.tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
 
 
 def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
@@ -369,8 +359,8 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
                          rule: QuadratureRule | None = None) -> TransformResult:
     """Smearing integral by generalized Gauss--Laguerre quadrature.
 
-    Starts from ``rule`` (default :data:`FIRST_NODE_COUNT` nodes, whatever
-    ``n``) and doubles the node count over every column of the signal at
+    Starts from :data:`FIRST_NODE_COUNT` nodes, whatever ``n``, and
+    doubles the node count over every column of the signal at
     once.  A column keeps the value and error of the first doubling where
     two consecutive estimates agree to the rule's relative target (or
     :data:`ABSOLUTE_FLOOR` absolutely), exactly as a scalar transform of it
@@ -417,7 +407,7 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
         values = np.asarray(evaluate(kernel.tau * nodes[live]))
         return pairwise_dot(weights[live], values), 0.0
 
-    value, error, kept, _ = refine(laguerre, rule.node_count, MAX_NODE_COUNT,
+    value, error, kept, _ = refine(laguerre, FIRST_NODE_COUNT, MAX_NODE_COUNT,
                                    rel, ABSOLUTE_FLOOR)
     kind = complex if np.iscomplexobj(value) else float
     method = "laguerre"
@@ -478,42 +468,18 @@ def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):
 # Monte Carlo route
 
 
-def _gamma_variates(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Gamma(n, 1) draws: summed exponentials for small shape, rejection above.
-
-    For ``n <= 16`` each draw is ``-log`` of the product of ``n`` uniforms.
-    Larger shapes use the standard squeeze/rejection method (cube of a shifted
-    normal with ``d = n - 1/3``), refilling rejected slots in deterministic
-    batches so a fixed seed always yields the identical sample sequence.
-    """
-    if n <= 16:
-        u = rng.random((size, n))
-        return -np.log(u).sum(axis=1)
-    d = n - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        x = rng.standard_normal(pending.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(pending.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (v > 0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
-        out[pending[ok]] = d * v[ok]
-        pending = pending[~ok]
-    return out
-
-
 def sample_internal_time(kernel: GammaKernel, rng: np.random.Generator,
                          size: int | None = None):
     """Draw internal times distributed as ``tau * Gamma(n, 1)``.
 
     Returns a scalar when ``size`` is omitted, else an array of that length.
+    Draws come from ``rng.gamma``, one after another, so a scalar draw is
+    the first element of an array drawn from the same generator state.
     """
     m = 1 if size is None else int(size)
     if m < 1:
         raise ValueError(f"size must be >= 1, got {size!r}")
-    draws = kernel.tau * _gamma_variates(kernel.n, rng, m)
+    draws = kernel.tau * rng.gamma(kernel.n, size=m)
     if size is None:
         return float(draws[0])
     return draws
@@ -535,7 +501,7 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     _screen_convergence(signal, kernel)
     rng = np.random.default_rng(seed)
-    u = _gamma_variates(kernel.n, rng, int(samples))
+    u = rng.gamma(kernel.n, size=int(samples))
     values = np.asarray(signal.evaluate(kernel.tau * u))
     mean = pairwise_sum(values) / samples
     resid = values - mean
@@ -604,7 +570,7 @@ class SchemeDecomposition:
         """Evaluate the absolutely continuous part (the gamma mixture)."""
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
-        mask = xi > 0
+        mask = (xi > 0.0) & (xi < np.inf)
         if np.any(mask):
             sm = xi[mask]
             acc = np.zeros_like(sm)

@@ -66,6 +66,8 @@ CHIRP_REL_TARGET = 1e-10
 CONTOUR_END = 12.0
 # log of the largest double: the continuous sensitivity overflows past it
 LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
+# sample times of the continuous fit over the late half of [0, t_max]
+CT_FIT_SAMPLES = 1200
 
 
 @dataclass(frozen=True)
@@ -166,21 +168,19 @@ def _fit_log_slope(times, log_values, what: str) -> LyapunovEstimate:
     return est
 
 
-def ct_lyapunov(model: SensitivityModel, t_max: float,
-                samples: int = 1200) -> LyapunovEstimate:
+def ct_lyapunov(model: SensitivityModel, t_max: float) -> LyapunovEstimate:
     """Growth-rate estimate from log d_ct over the late half of [0, t_max].
 
-    Requires ``c * t_max >= 10`` so the window is dominated by growth rather
-    than transients.  Sample times where the phase sits on a node of the
+    Samples :data:`CT_FIT_SAMPLES` evenly spaced times.  Requires
+    ``c * t_max >= 10`` so the window is dominated by growth rather than
+    transients.  Sample times where the phase sits on a node of the
     sine (|sin| < 0.05) are dropped — they carry log spikes of arbitrary
     depth but no slope information.
     """
     if not (model.c * t_max >= 10.0):
         raise ValueError("window too short: need c * t_max >= 10")
     _check_range(model, t_max)
-    if samples < 10:
-        raise ValueError("need at least 10 samples")
-    t = np.linspace(0.5 * t_max, t_max, samples)
+    t = np.linspace(0.5 * t_max, t_max, CT_FIT_SAMPLES)
     phase = model.b * np.exp(model.c * t)
     keep = np.abs(np.sin(phase)) >= PHASE_NODE_CUTOFF
     d = ct_distance(model, t[keep])
@@ -243,10 +243,10 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     Gauss--Legendre panels, doubled by the shared doubling loop until the
     spread against half as many panels, the tail and the summation roundoff
     add up to at most :data:`CHIRP_REL_TARGET` of the value.  Past
-    ``MAX_PANELS``, or once the tail and roundoff alone exceed that target,
-    the call raises :class:`QuadratureNotConverged`.  The reported error
-    adds the rounding of each term's exponent, which more panels cannot
-    shrink.
+    ``MAX_PANELS``, once the tail and roundoff alone exceed that target, or
+    when lam is so small that X is not finite, the call raises
+    :class:`QuadratureNotConverged`.  The reported error adds the rounding
+    of each term's exponent, which more panels cannot shrink.
     """
     n = int(n)
     if n < 1:
@@ -259,6 +259,10 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     # lam X: where b e^{lam X} reaches e^CONTOUR_END, or CONTOUR_END
     reach = CONTOUR_END + max(0.0, -math.log(b))
     x_end = reach / lam
+    if not math.isfinite(x_end):
+        raise QuadratureNotConverged(
+            f"growth per step {lam!r} is too small for the contour: its "
+            f"length {reach:.3g}/{lam!r} is not finite")
     probes = []
     for frac in CONTOUR_HEIGHTS:
         height = frac * 0.5 * math.pi / lam
@@ -367,7 +371,6 @@ def dt_lyapunov(model: SensitivityModel,
     n_max, tau = kernel.n, kernel.tau
     if not (n_max * kernel.tau * model.c >= 10.0):
         raise ValueError("window too short: need n_max * tau * c >= 10")
-    _growth_parameter(model, kernel)
     ns = np.arange(max(1, n_max // 2), n_max + 1)
     logs = np.array([dt_sensitivity(model, GammaKernel(int(n), tau))
                      .log_magnitude for n in ns])

@@ -270,7 +270,7 @@ def test_custom_field_decay_matches_exponential():
     # dx/dt = -x from x(0) = 2
     model = CustomField(lambda x: -x)
     s = PhaseState([2.0], [0.0], [1.0])
-    traj = model.trajectory(s, t_max=5.0, tolerance=1e-11)
+    traj = model.trajectory(s, t_max=5.0)
     t = np.array([0.0, 0.5, 1.0, 4.0])
     x, p = traj.state_at(t)
     np.testing.assert_allclose(x[:, 0], 2.0 * np.exp(-t), rtol=1e-9)
@@ -280,7 +280,7 @@ def test_custom_field_decay_matches_exponential():
 def test_custom_field_trajectory_refuses_times_past_its_end():
     model = CustomField(lambda x: -x)
     s = PhaseState([2.0], [0.0], [1.0])
-    traj = model.trajectory(s, t_max=2.0, tolerance=1e-11)
+    traj = model.trajectory(s, t_max=2.0)
     x, _ = traj.state_at([2.0])
     assert x[0, 0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-9)
     with pytest.raises(ValueError, match="covers"):

@@ -58,19 +58,6 @@ def test_transform_range_rows(tmp_path):
         assert float(r[1]) == pytest.approx(0.25 * n * (n + 1), rel=1e-10)
 
 
-def test_one_node_start_needs_two_evaluations(tmp_path):
-    # the one-node rule sits at the weight mean, which is exact for t, so
-    # the first doubling (to 2 nodes) already agrees
-    code, text = run_cli(["transform", "--signal", "poly", "--degree", "1",
-                          "--n-range", "1:4", "--tau", "1", "--nodes", "1"],
-                         tmp_path)
-    assert code == 0
-    _, rows = payload_rows(text)
-    assert [int(r[3]) for r in rows] == [2, 2, 2, 2]
-    for r in rows:
-        assert float(r[1]) == pytest.approx(int(r[0]), rel=1e-12)
-
-
 def test_csv_is_crlf_with_commented_preamble(tmp_path):
     code, text = run_cli(["transform", "--signal", "cos", "--n", "3"],
                          tmp_path)
@@ -153,31 +140,25 @@ def test_missing_signal_is_config_error(capsys):
     assert err.startswith("ConfigError:")
 
 
-def test_unknown_flag_exits_2(capsys):
-    code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
-                       "--bogus", "3"])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--signal", "cos", "--n", "1", "--bogus", "3"],
+    # removed settings: doubling always starts at 32 nodes, and the
+    # continuous fit always takes 1200 samples
+    ["transform", "--nodes", "8"],
+    ["chaos", "ct", "--a", "0.5", "--t-max", "14", "--fit-samples", "100"],
+], ids=" ".join)
+def test_unknown_flag_exits_2(capsys, argv):
+    code, _ = run_cli(argv)
     assert code == 2
-    assert capsys.readouterr().err.startswith("ConfigError:")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ConfigError: unrecognized arguments: ")
 
 
 def test_n_and_range_together_rejected(capsys):
     code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
                        "--n-range", "1:5"])
     assert code == 2
-
-
-def test_nodes_must_leave_room_to_double(tmp_path, capsys):
-    # a start above half the 512-node cap could never double: one typed
-    # line naming the bound; the largest start that can double still runs
-    code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
-                       "--nodes", "257"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("ValueError:") and "256" in err
-    code, _ = run_cli(["transform", "--signal", "cos", "--n", "1",
-                       "--nodes", "256"], tmp_path)
-    assert code == 0
 
 
 _TRANSFORM = ["transform", "--n", "3", "--tau", "0.5"]
@@ -200,6 +181,14 @@ _TRANSFORM = ["transform", "--n", "3", "--tau", "0.5"]
     ["chaos", "ct", "--a", "0.5", "--t-max", "inf"],
     ["alpha-scan", "--sigma", "nan", "--n-max", "1"],
     ["alpha-scan", "--length", "inf", "--n-max", "1"],
+    # finite states whose moments pass the largest double
+    ["classical", "--x", "1e300", "--p", "1e300", "--n", "2", "--tau", "1"],
+    ["classical", "--model", "oscillator", "--x", "1e300", "--p", "1e300",
+     "--n", "2", "--tau", "1"],
+    ["classical", "--route", "quadrature", "--x", "1e300", "--p", "1e300",
+     "--n", "2", "--tau", "1"],
+    ["classical", "--model", "oscillator", "--route", "quadrature",
+     "--x", "1e300", "--p", "1e300", "--n", "2", "--tau", "1"],
 ], ids=" ".join)
 def test_non_finite_or_overflowing_input_is_one_config_error(tmp_path, capsys,
                                                              argv):
@@ -226,6 +215,21 @@ def test_divergent_growth_exits_3(capsys):
     err = capsys.readouterr().err
     assert err.startswith("DivergentTransform:")
     assert err.count("\n") == 1
+
+
+def test_denormal_growth_per_step_is_one_numerical_error(capsys):
+    # c * tau = 1e-321 puts the contour's end 12/lam past the float range:
+    # refused before the path is built, not with numpy warnings and a math
+    # domain error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(["chaos", "dt", "--a", "0.5", "--tau", "0.1",
+                           "--n-max", "20", "--c", "1e-320", "--no-fit"])
+    assert code == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("QuadratureNotConverged: ") and "not finite" in err
 
 
 def test_fit_failure_exits_3(capsys):

@@ -1,5 +1,6 @@
 """Tests for the smearing kernel, both transform routes, and step schemes."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -61,6 +62,21 @@ def test_density_support_and_jump():
     ker5 = GammaKernel(5, 1.0)
     assert gamma_density(ker5, 0.0) == 0.0
     assert log_gamma_density(ker5, 0.0) == -np.inf
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_density_vanishes_at_infinity(n):
+    # (n - 1) log(inf) - inf would be nan with an invalid-value warning
+    ker = GammaKernel(n, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_gamma_density(ker, math.inf) == -math.inf
+        assert gamma_density(ker, math.inf) == 0.0
+        both = log_gamma_density(ker, np.array([2.0, math.inf]))
+        mixture = scheme_density_decomposition(StepScheme(0.25), ker)
+        tail = mixture.continuous_density(np.array([2.0, math.inf]))
+    assert math.isfinite(both[0]) and both[1] == -math.inf
+    assert math.isfinite(tail[0]) and tail[1] == 0.0
 
 
 def test_log_density_large_step_count_is_finite():
@@ -450,7 +466,8 @@ def test_fallback_keeps_undeclared_imaginary_part():
 
 def test_tabulated_signal_transform_and_range():
     # linear interpolation has an accuracy floor ~1e-5, so the rule's target
-    # must be set accordingly or doubling would escalate past the table edge
+    # must be set accordingly: at the default 1e-10 the panel fallback, which
+    # stays inside the screening window, raises QuadratureNotConverged
     t = np.arange(0.0, 400.0, 0.01)
     sig = tabulated_signal(t, np.cos(t))
     ker = GammaKernel(1, 1.0)
@@ -509,8 +526,8 @@ def test_continuum_limit_of_cosine():
 
 def test_sampler_matches_gamma_distribution():
     rng = np.random.default_rng(11)
-    for n in (5, 120):  # one below, one above the rejection threshold
-        draws = kernel._gamma_variates(n, rng, 20000)
+    for n in (5, 120):
+        draws = sample_internal_time(GammaKernel(n, 1.0), rng, size=20000)
         stat = kstest(draws, gamma_dist(a=n).cdf).statistic
         assert stat < 0.02, f"shape {n}: KS statistic {stat}"
         assert np.mean(draws) == pytest.approx(n, rel=0.05)
