@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import StiffnessFailure
 from .kernel import GammaKernel, TimeSignal, screening_horizon, transform_quadrature
@@ -160,6 +159,7 @@ class Trajectory:
 def _integrate_field(fieldfn, y0, t_max: float) -> Trajectory:
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
+    from scipy.integrate import solve_ivp  # on first use; see kernel
     sol = solve_ivp(lambda t, y: np.asarray(fieldfn(y), dtype=float),
                     (0.0, t_max), y0, method="DOP853", dense_output=True,
                     rtol=ODE_TOLERANCE, atol=ODE_TOLERANCE * 1e-2)
@@ -300,6 +300,14 @@ def free_particle_moments(state: PhaseState, kernel: GammaKernel,
                         second_momenta=second_p, energy=energy)
 
 
+def _log1p_square(tau: float, scale: float = 1.0) -> float:
+    """``log(1 + (scale tau)^2)``, finite also where the square overflows."""
+    a = scale * tau
+    if math.isfinite(a * a):
+        return math.log1p(a * a)
+    return 2.0 * (math.log(scale) + math.log(tau)) + math.log1p(a ** -2.0)
+
+
 @_in_float_range
 def sho_moments(state: PhaseState, kernel: GammaKernel,
                 steps: int | None = None) -> MomentReport:
@@ -330,8 +338,8 @@ def sho_moments(state: PhaseState, kernel: GammaKernel,
     theta = np.arctan2(state.positions, state.momenta)
     phi = math.atan(tau)
     phi2 = math.atan(2.0 * tau)
-    damp1 = np.exp(-0.5 * n * math.log1p(tau * tau))
-    damp2 = np.exp(-0.5 * n * math.log1p(4.0 * tau * tau))
+    damp1 = np.exp(-0.5 * n * _log1p_square(tau))
+    damp2 = np.exp(-0.5 * n * _log1p_square(tau, 2.0))
     mean_x = r * damp1 * np.sin(n * phi + theta)
     mean_p = r * damp1 * np.cos(n * phi + theta)
     rr = 0.5 * np.outer(r, r)

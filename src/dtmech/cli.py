@@ -57,8 +57,8 @@ from .kernel import (GammaKernel, QuadratureRule, StepScheme,
                      monomial_signal, scheme_delta_coefficient,
                      tabulated_signal, transform_monte_carlo,
                      transform_quadrature)
-from .nonlinear import (SensitivityModel, ct_distance, ct_lyapunov,
-                        dt_distance, dt_lyapunov)
+from .nonlinear import (SensitivityModel, _dt_window_fit, ct_distance,
+                        ct_lyapunov, dt_sensitivity)
 from .quantum import (ELECTRON_VOLT, NATURAL, SECONDS_PER_YEAR, SI_PLANCK,
                       DensityMatrix, decoherence_time, evolve_density,
                       gamma_equivalence_check, project_density,
@@ -398,11 +398,14 @@ def _cmd_chaos_dt(args):
     if n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
     steps = np.arange(1, n_max + 1)
-    distances = [dt_distance(model, GammaKernel(int(n), tau)) for n in steps]
+    sens = [dt_sensitivity(model, GammaKernel(int(n), tau)) for n in steps]
+    distances = [abs(r.value) for r in sens]
     extra = {}
     line = [None] * len(steps)
     if not args.no_fit:
-        est = dt_lyapunov(model, GammaKernel(n_max, tau))
+        # dt_lyapunov's fit, read from the table's own late half
+        est = _dt_window_fit(model, GammaKernel(n_max, tau),
+                             lambda n: sens[n - 1].log_magnitude)
         extra["fit"] = _fit_meta(est)
         line = np.exp(est.intercept + est.exponent * steps * tau)
     rows = [[int(n), float(d), None if f is None else float(f)]

@@ -15,6 +15,11 @@ Carlo over internal-time draws), sampling of the internal clock, and the
 analysis of one-step mixing schemes: the signed delta coefficient, the exact
 decomposition of the smearing density into gamma mixtures, and a spectral
 advection probe that exhibits scheme-induced negativity on a periodic grid.
+
+scipy is imported inside the four functions that call it (here, in
+``classical`` and in ``nonlinear``), never at module level: ``import dtmech``
+loads no scipy module, and a command pays for scipy only when it builds a
+Gauss--Laguerre rule, takes a log-gamma or solves a user ODE.
 """
 from __future__ import annotations
 
@@ -24,8 +29,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from ._util import (EPS, FIRST_PANELS, MAX_PANELS, PANEL_NODES, as_rows,
                     legendre_panels, modulus, pairwise_dot, pairwise_sum,
@@ -128,6 +131,7 @@ def _log_density_core(kernel: GammaKernel, s):
     r = s / tau
     if n == 1:
         return -r - math.log(tau)
+    from scipy.special import gammaln  # on first use; see module docstring
     return (n - 1) * np.log(r) - r - gammaln(n) - math.log(tau)
 
 
@@ -244,6 +248,7 @@ def _laguerre_rule(node_count: int, shape_param: int):
     k = np.arange(node_count, dtype=float)
     diag = 2.0 * k + shape_param + 1.0
     off = np.sqrt(k[1:] * (k[1:] + shape_param))
+    from scipy.linalg import eigh_tridiagonal  # on first use, as above
     # the divide-and-conquer tridiagonal driver; a banded solver would also
     # build and apply an m x m band-reduction matrix (the identity here)
     nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")

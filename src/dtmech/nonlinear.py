@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._util import EPS, FIRST_PANELS, MAX_PANELS, legendre_panels, refine
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
@@ -368,12 +367,22 @@ def dt_lyapunov(model: SensitivityModel,
     raises :class:`FitUnstable` carrying the estimate — a strongly curved
     decay has no meaningful single slope.
     """
+    return _dt_window_fit(model, kernel, lambda n: dt_sensitivity(
+        model, GammaKernel(n, kernel.tau)).log_magnitude)
+
+
+def _dt_window_fit(model: SensitivityModel, kernel: GammaKernel,
+                   log_magnitude) -> LyapunovEstimate:
+    """:func:`dt_lyapunov`'s window check and fit.
+
+    ``log_magnitude(n)`` gives log |d_dt| at step count ``n``; it is asked
+    only for the late half of ``1..kernel.n``, after the window check.
+    """
     n_max, tau = kernel.n, kernel.tau
-    if not (n_max * kernel.tau * model.c >= 10.0):
+    if not (n_max * tau * model.c >= 10.0):
         raise ValueError("window too short: need n_max * tau * c >= 10")
     ns = np.arange(max(1, n_max // 2), n_max + 1)
-    logs = np.array([dt_sensitivity(model, GammaKernel(int(n), tau))
-                     .log_magnitude for n in ns])
+    logs = np.array([log_magnitude(int(n)) for n in ns])
     return _fit_log_slope(ns * tau, logs, "smeared sensitivity")
 
 
@@ -391,6 +400,7 @@ def power_law_map(alpha: float, kernel: GammaKernel) -> np.ndarray:
     alpha = float(alpha)
     if not (alpha > -1.0 and math.isfinite(alpha)):
         raise ValueError(f"exponent must be finite and > -1, got {alpha!r}")
+    from scipy.special import gammaln  # on first use; see kernel
     n = np.arange(1, kernel.n + 1, dtype=float)
     return np.exp(alpha * math.log(kernel.tau) + gammaln(n + alpha)
                   - gammaln(n))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from dtmech import classical
@@ -294,13 +295,13 @@ def test_fast_rotation_field_is_solved_once(monkeypatch):
     # up and the panel fallback takes over, inside the screening horizon the
     # trajectory was solved to
     calls = []
-    real = classical.solve_ivp
+    real = scipy.integrate.solve_ivp
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(classical, "solve_ivp", counting)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
     model = CustomField(lambda x: np.array([40.0 * x[1], -40.0 * x[0]]))
     s = PhaseState([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
     vals = evolve_observable(model, s, lambda x, p: x[..., 0], GammaKernel(1, 0.5))
@@ -440,13 +441,13 @@ def test_custom_field_report_solves_its_ode_once(monkeypatch):
     # the trajectory starts at the screening horizon of the last step count,
     # so neither the probe nor any Gauss--Laguerre node makes it regrow
     calls = []
-    real = classical.solve_ivp
+    real = scipy.integrate.solve_ivp
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(classical, "solve_ivp", counting)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
     s = PhaseState([1.0], [0.0], [1.0])
     tau = 0.5
     rep = quadrature_moments(CustomField(lambda x: -x), s, GammaKernel(10, tau))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dtmech import (FreeParticle, GammaKernel, HarmonicOscillator, PhaseState,
-                    free_particle_moments, quadrature_moments, sho_moments)
+                    SensitivityModel, cli, dt_lyapunov, free_particle_moments,
+                    nonlinear, quadrature_moments, sho_moments)
 from dtmech.cli import main
 from dtmech.report import csv_payload
 
@@ -206,6 +207,31 @@ def test_non_finite_or_overflowing_input_is_one_config_error(tmp_path, capsys,
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(("ValueError: ", "ConfigError: "))
+
+
+@pytest.mark.parametrize("tau", ["1e300", "1.7e308"])
+def test_oscillator_at_a_huge_time_quantum_keeps_the_initial_state(tmp_path,
+                                                                   tau):
+    # tau^2 overflows a double, yet row 0 is the initial state and every
+    # moment is finite: the damped terms vanish for n >= 1
+    base = ["classical", "--model", "oscillator", "--route", "closed",
+            "--x", "1", "--p", "1", "--n", "2", "--format", "json"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run_cli(base + ["--tau", tau], tmp_path, "huge")
+    assert code == 0
+    assert caught == []
+    rows = json.loads(text)["data"]["rows"]
+    assert all(np.isfinite(r[-1]) for r in rows)
+    _, ref = run_cli(base + ["--tau", "1"], tmp_path, "unit")
+    ref_rows = json.loads(ref)["data"]["rows"]
+    row0 = [r for r in rows if r[0] == 0]
+    assert row0 == [r for r in ref_rows if r[0] == 0]
+    assert {r[3]: r[4] for r in row0} == pytest.approx(
+        {"mean_x": 1.0, "mean_p": 1.0, "second_x": 1.0, "second_p": 1.0,
+         "energy": 1.0}, rel=1e-15)
+    damped = [r[4] for r in rows if r[0] > 0 and r[3].startswith("mean")]
+    assert len(damped) == 4 and max(map(abs, damped)) <= 1e-299
 
 
 def test_divergent_growth_exits_3(capsys):
@@ -639,6 +665,26 @@ def test_chaos_dt_row_off_half_matches_mpmath(tmp_path):
                                                rel=1e-12)
 
 
+def test_chaos_dt_fit_reuses_the_table(tmp_path, monkeypatch):
+    # the fit's late half n = 60..120 is read from the table's sensitivities,
+    # so each step count is integrated once
+    real = nonlinear.chirped_sine_expectation
+    calls = []
+
+    def counting(n, *args):
+        calls.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(nonlinear, "chirped_sine_expectation", counting)
+    code, text = run_cli(["chaos", "dt", "--a", "0.5", "--tau", "0.1",
+                          "--n-max", "120", "--format", "json"], tmp_path)
+    assert code == 0
+    assert sorted(calls) == list(range(1, 121))
+    fit = json.loads(text)["meta"]["fit"]
+    est = dt_lyapunov(SensitivityModel(0.5, 1.0), GammaKernel(120, 0.1))
+    assert fit == cli._fit_meta(est)
+
+
 def test_alpha_scan_backward_scheme_stays_nonnegative(tmp_path):
     code, text = run_cli(["alpha-scan", "--alphas", "0,0.5", "--n-max", "2",
                           "--format", "json"], tmp_path)
@@ -675,6 +721,60 @@ def test_module_invocation_round_trip(tmp_path):
     assert proc.returncode == 0
     _, rows = payload_rows(out.read_bytes().decode())
     assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-12)
+
+
+# a fresh interpreter imports dtmech and its cli, then runs each argv list
+# through main(); it prints the scipy modules loaded after every step
+_SCIPY_PROBE = r"""
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out_path, commands = sys.argv[1], json.loads(sys.argv[2])
+seen = {}
+import dtmech
+seen["import dtmech"] = [0, scipy_modules()]
+import dtmech.cli
+seen["import dtmech.cli"] = [0, scipy_modules()]
+for argv in commands:
+    code = dtmech.cli.main(argv + ["--output", out_path])
+    seen[" ".join(argv)] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def scipy_after_each_step(commands, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out"),
+         json.dumps(commands)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
+    commands = [
+        ["quantum", "td", "--preset", "si-planck", "--delta-e", "7meV"],
+        ["classical", "--model", "oscillator", "--route", "closed",
+         "--x", "1,0", "--p", "0,1", "--n", "50", "--tau", "0.25"],
+        ["quantum", "defect", "--delta-e", "0.5", "--n-range", "1:5"],
+        ["chaos", "ct", "--a", "0.5", "--t-max", "14"],
+        ["chaos", "dt", "--a", "0.5", "--tau", "0.1", "--n-max", "100"],
+        ["alpha-scan", "--alphas", "0,0.5", "--n-max", "2"],
+        ["transform", "--signal", "cos", "--method", "monte-carlo",
+         "--samples", "2000", "--seed", "7", "--n-range", "1:5"],
+    ]
+    seen = scipy_after_each_step(commands, tmp_path)
+    assert len(seen) == 2 + len(commands)
+    assert seen == {step: [0, []] for step in seen}
+
+
+def test_gauss_laguerre_transform_loads_no_ode_solver(tmp_path):
+    step = ["transform", "--signal", "cos", "--n-range", "1:5"]
+    code, loaded = scipy_after_each_step([step], tmp_path)[" ".join(step)]
+    assert code == 0
+    assert {"scipy.linalg", "scipy.special"} <= set(loaded)
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
 
 
 def test_fallback_on_a_short_table_keeps_the_cli_contract(tmp_path):

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import trapezoid
 from scipy.linalg import eig_banded
 from scipy.special import gammaln
@@ -171,7 +172,7 @@ def test_rule_matches_banded_solver_bit_for_bit(monkeypatch):
     for m, shape in cases:
         nodes, weights = kernel._laguerre_rule(m, shape)
         with monkeypatch.context() as patch:
-            patch.setattr(kernel, "eigh_tridiagonal", banded)
+            patch.setattr(scipy.linalg, "eigh_tridiagonal", banded)
             ref_nodes, ref_weights = kernel._laguerre_rule.__wrapped__(m, shape)
         assert np.array_equal(nodes, ref_nodes), (m, shape)
         assert np.array_equal(weights, ref_weights), (m, shape)
