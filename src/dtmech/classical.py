@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StiffnessFailure
-from .kernel import GammaKernel, TimeSignal, screening_horizon, transform_quadrature
+from .kernel import (GammaKernel, TimeSignal, _phase_log, _step_count,
+                     screening_horizon, transform_quadrature)
 
 __all__ = [
     "PhaseState",
@@ -271,9 +272,7 @@ class MomentReport:
 
 
 def _step_range(kernel: GammaKernel, steps: int | None) -> np.ndarray:
-    last = kernel.n if steps is None else int(steps)
-    if last < 0:
-        raise ValueError(f"steps must be >= 0, got {steps!r}")
+    last = kernel.n if steps is None else _step_count(steps, 0, "steps")
     return np.arange(last + 1)
 
 
@@ -298,14 +297,6 @@ def free_particle_moments(state: PhaseState, kernel: GammaKernel,
     return MomentReport(steps=n[:, 0], mean_positions=mean_x,
                         mean_momenta=mean_p, second_positions=second_x,
                         second_momenta=second_p, energy=energy)
-
-
-def _log1p_square(tau: float, scale: float = 1.0) -> float:
-    """``log(1 + (scale tau)^2)``, finite also where the square overflows."""
-    a = scale * tau
-    if math.isfinite(a * a):
-        return math.log1p(a * a)
-    return 2.0 * (math.log(scale) + math.log(tau)) + math.log1p(a ** -2.0)
 
 
 @_in_float_range
@@ -336,10 +327,10 @@ def sho_moments(state: PhaseState, kernel: GammaKernel,
     tau = kernel.tau
     r = np.hypot(state.positions, state.momenta)
     theta = np.arctan2(state.positions, state.momenta)
-    phi = math.atan(tau)
-    phi2 = math.atan(2.0 * tau)
-    damp1 = np.exp(-0.5 * n * _log1p_square(tau))
-    damp2 = np.exp(-0.5 * n * _log1p_square(tau, 2.0))
+    (rate, rate2), (phi, phi2) = _phase_log([tau, 2.0 * tau])
+    damp1 = np.exp(-n * rate)
+    # 2 tau overflows past tau ~ 9e307: the rotating part is gone after a step
+    damp2 = np.exp(-n * rate2) if rate2 < np.inf else (n == 0) * 1.0
     mean_x = r * damp1 * np.sin(n * phi + theta)
     mean_p = r * damp1 * np.cos(n * phi + theta)
     rr = 0.5 * np.outer(r, r)

@@ -88,7 +88,8 @@ _NUMBER_UNIT = re.compile(
 
 def _parse_quantity(text: str, what: str, si: bool) -> float:
     """``what`` ("energy" or "time"): a bare number in natural units, a
-    number with a suffix from its :data:`_UNITS` table in SI."""
+    number with a suffix from its :data:`_UNITS` table in SI; refused if it
+    overflows a double, as written or once scaled by its unit."""
     m = _NUMBER_UNIT.match(str(text))
     if not m:
         raise ConfigError(f"cannot parse {what} {text!r}")
@@ -102,10 +103,12 @@ def _parse_quantity(text: str, what: str, si: bool) -> float:
         if unit not in units:
             raise ConfigError(f"unknown {what} unit {unit!r} in {text!r} "
                               f"(use {names})")
-        return value * units[unit]
-    if unit:
+        value *= units[unit]
+    elif unit:
         raise ConfigError(f"unit suffix {unit!r} in {text!r} is only "
                           "accepted with --preset si-planck")
+    if not np.isfinite(value):
+        raise ConfigError(f"{what} {text!r} overflows a double")
     return value
 
 
@@ -247,8 +250,6 @@ def _cmd_classical(args):
         masses = _float_list(args.mass, "--mass")
     state = PhaseState(positions, momenta, masses)
     last = int(_need(args, "n", "--n"))
-    if last < 0:
-        raise ConfigError(f"--n must be >= 0, got {last}")
     kern = GammaKernel(max(1, last), args.tau)
 
     if args.model == "free":
@@ -304,11 +305,15 @@ def _density_document(dm: DensityMatrix) -> dict:
             "im": dm.coeffs.imag}
 
 
+def _gaps(args, si: bool) -> list[float]:
+    if not args.delta_e:
+        raise ConfigError("--delta-e is required (repeat for several gaps)")
+    return [_parse_quantity(text, "energy", si) for text in args.delta_e]
+
+
 def _cmd_quantum_td(args):
     consts, si = _constants(args)
-    texts = args.delta_e
-    if not texts:
-        raise ConfigError("--delta-e is required (repeat for several gaps)")
+    gaps = _gaps(args, si)
     horizon_text = args.horizon
     if si:
         # SI always compares against a horizon, by default the 1e10 years
@@ -323,8 +328,7 @@ def _cmd_quantum_td(args):
     horizon = (None if horizon_text is None
                else _parse_quantity(horizon_text, "time", si))
     rows = []
-    for text in texts:
-        gap = _parse_quantity(text, "energy", si)
+    for gap in gaps:
         t_d = float(decoherence_time(gap, consts))
         row = [gap, t_d, t_d / SECONDS_PER_YEAR] if si else [gap, t_d]
         if horizon is not None:
@@ -336,10 +340,7 @@ def _cmd_quantum_td(args):
 def _cmd_quantum_evolve(args):
     consts, _ = _constants(args)
     dm = _read_density(_need(args, "state", "--state"), args.repair)
-    n = int(_need(args, "n", "--n"))
-    if n < 0:
-        raise ConfigError(f"--n must be >= 0, got {n}")
-    evolved = evolve_density(dm, n, consts)
+    evolved = evolve_density(dm, _need(args, "n", "--n"), consts)
     extra = {"dim": evolved.dim, "purity": evolved.purity()}
     return {"document": _density_document(evolved)}, extra
 
@@ -355,10 +356,7 @@ def _cmd_quantum_equivalence(args):
 
 def _cmd_quantum_defect(args):
     consts, si = _constants(args)
-    texts = args.delta_e
-    if not texts:
-        raise ConfigError("--delta-e is required (repeat for several gaps)")
-    gaps = [_parse_quantity(text, "energy", si) for text in texts]
+    gaps = _gaps(args, si)
     rows = [[n, gap, float(schroedinger_defect(n, gap, consts))]
             for gap in gaps for n in _step_list(args)]
     return {"columns": ["n", "delta_e", "defect"], "rows": rows}, {}

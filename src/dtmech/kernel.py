@@ -89,12 +89,35 @@ class GammaKernel:
     tau: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"step count n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _step_count(self.n, 1))
         if not (float(self.tau) > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"time quantum tau must be finite and > 0, got {self.tau!r}")
         object.__setattr__(self, "tau", float(self.tau))
+
+
+def _step_count(n, minimum: int, what: str = "step count n"):
+    """``n`` as an int (an int array for an array): finite, integral, not a
+    bool, at least ``minimum``; else ``ValueError``, so 2.5 is not read as 2."""
+    a = np.asarray(n)
+    if a.dtype.kind in "iuf" and (
+            np.isfinite(a) & (a == np.floor(a)) & (a >= minimum)).all():
+        return int(a) if a.ndim == 0 else a.astype(int)
+    raise ValueError(f"{what} must be an integer >= {minimum}, got {n!r}")
+
+
+def _phase_log(z):
+    """``(log|1 + iz|, arctan z)`` for real ``z``: ``-n`` times them are the
+    log-modulus and angle of ``(1 + iz)^-n``, the gamma(n) smearing of the
+    phase ``e^{-i omega t}`` at ``z = omega tau``.  The first is
+    ``log|z| + 0.5 log1p(z^-2)`` where ``z^2`` overflows, so no real ``z``
+    (0 and +-inf too) makes numpy warn."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        z2 = z * z
+    big = np.isinf(z2)
+    a = np.where(big, np.abs(z), 1.0)
+    rate = np.where(big, np.log(a) + 0.5 * np.log1p(a ** -2.0), 0.5 * np.log1p(z2))
+    return rate, np.arctan(z)
 
 
 def gamma_density(kernel: GammaKernel, xi):
@@ -544,12 +567,11 @@ def scheme_delta_coefficient(scheme: StepScheme, n: int) -> float:
     density carries no delta remnant; any forward admixture leaves a signed
     point mass at the initial time, negative for odd ``n``.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _step_count(n, 1, "n")
     if scheme.beta == 0.0:
         raise BackwardOnly("alpha = 1 (beta = 0) has no backward component; "
                            "the delta coefficient is undefined")
-    return (-scheme.alpha / scheme.beta) ** int(n)
+    return (-scheme.alpha / scheme.beta) ** n
 
 
 @dataclass(frozen=True)
@@ -661,8 +683,10 @@ def advection_negativity_probe(scheme: StepScheme, kernel: GammaKernel,
     grid = dx * np.arange(points)
     initial = np.exp(-0.5 * ((grid - center) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     k = 2.0 * math.pi * np.fft.rfftfreq(points, d=dx)
-    symbol = ((1.0 - 1j * scheme.alpha * tau * k)
-              / (1.0 + 1j * scheme.beta * tau * k)) ** n
+    # the symbol in log-polar form, from (1 - i a) = |1 + i a| e^{-i atan a}
+    (rate_a, rate_b), (angle_a, angle_b) = _phase_log(
+        np.outer([scheme.alpha * tau, scheme.beta * tau], k))
+    symbol = np.exp(n * (rate_a - rate_b) - 1j * n * (angle_a + angle_b))
     evolved = np.fft.irfft(np.fft.rfft(initial) * symbol, n=points)
     return AdvectionProbe(
         min_value=float(evolved.min()),

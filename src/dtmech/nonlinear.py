@@ -34,7 +34,7 @@ import numpy as np
 
 from ._util import EPS, FIRST_PANELS, MAX_PANELS, legendre_panels, refine
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
-from .kernel import GammaKernel
+from .kernel import GammaKernel, _step_count
 
 __all__ = [
     "SensitivityModel",
@@ -247,9 +247,7 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     :class:`QuadratureNotConverged`.  The reported error adds the rounding
     of each term's exponent, which more panels cannot shrink.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n}")
+    n = _step_count(n, 1)
     if not (0.0 < lam < 1.0):
         raise DivergentTransform(
             f"smeared growth requires growth*tau in (0, 1), got {lam!r}")

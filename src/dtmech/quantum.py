@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import modulus
-from .kernel import GammaKernel, TimeSignal, transform_quadrature
+from .kernel import (GammaKernel, TimeSignal, _phase_log, _step_count,
+                     transform_quadrature)
 
 __all__ = [
     "DensityMatrix",
@@ -139,17 +140,9 @@ def project_density(energies, coeffs) -> DensityMatrix:
 def _coherence_factors(energies: np.ndarray, n: int,
                        constants: PhysicalConstants) -> np.ndarray:
     """Entrywise matrix [1 + i tau (e_a - e_b)/hbar]^{-n} in polar form."""
-    z = constants.phase_scale(energies[:, None] - energies[None, :])
-    log_mod = -0.5 * n * np.log1p(z * z)
-    phase = -n * np.arctan(z)
-    return np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase))
-
-
-def _check_step(n) -> int:
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
-    return n
+    rate, angle = _phase_log(constants.phase_scale(np.subtract.outer(energies, energies)))
+    phase = -n * angle
+    return np.exp(-n * rate) * (np.cos(phase) + 1j * np.sin(phase))
 
 
 def evolve_density(dm: DensityMatrix, n: int,
@@ -164,7 +157,7 @@ def evolve_density(dm: DensityMatrix, n: int,
     positivity survive because the factor matrix is a Gram matrix acting as
     a Schur multiplier.
     """
-    n = _check_step(n)
+    n = _step_count(n, 0)
     if n == 0:
         return dm
     factors = _coherence_factors(dm.energies, n, constants)
@@ -174,13 +167,12 @@ def evolve_density(dm: DensityMatrix, n: int,
 def decoherence_time(delta_e, constants: PhysicalConstants = NATURAL):
     """Coherence lifetime ``2 tau / log[1 + (tau delta_e/hbar)^2]``.
 
-    Infinite for a degenerate pair.  Accepts scalars or arrays; time is in
-    the units of ``constants.tau``.
+    Infinite for a degenerate pair or past the largest double, finite for
+    every other gap; scalars or arrays, in the units of ``constants.tau``.
     """
-    z = constants.phase_scale(delta_e)
-    z2 = z * z
-    with np.errstate(divide="ignore"):
-        out = np.where(z2 > 0.0, 2.0 * constants.tau / np.log1p(z2), np.inf)
+    rate, _ = _phase_log(constants.phase_scale(delta_e))
+    with np.errstate(divide="ignore", over="ignore"):
+        out = constants.tau / rate
     return float(out) if np.ndim(delta_e) == 0 else out
 
 
@@ -189,11 +181,12 @@ def offdiagonal_modulus(n: int, delta_e,
     """Remaining coherence fraction ``[1 + (tau delta_e/hbar)^2]^{-n/2}``.
 
     Equals ``exp(-n tau / T_d)`` with the lifetime from
-    :func:`decoherence_time` — the identity the tests pin down.
+    :func:`decoherence_time` — the identity the tests pin down.  Counts
+    ``n`` may be an array that broadcasts against the gaps.
     """
-    n = _check_step(n)
-    z = constants.phase_scale(delta_e)
-    out = np.exp(-0.5 * n * np.log1p(z * z))
+    n = _step_count(n, 0)
+    rate, _ = _phase_log(constants.phase_scale(delta_e))
+    out = np.exp(-n * rate)
     return float(out) if np.ndim(delta_e) == 0 else out
 
 
@@ -230,22 +223,19 @@ class DecoherenceReport:
 
 def decoherence_report(dm: DensityMatrix, steps,
                        constants: PhysicalConstants = NATURAL) -> DecoherenceReport:
-    """Tabulated off-diagonal decay for every pair a < b at the given steps."""
-    steps = np.atleast_1d(np.asarray(steps, dtype=int))
-    if steps.size == 0 or np.any(steps < 0):
-        raise ValueError("steps must be non-empty, non-negative")
-    d = dm.dim
-    idx = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    pairs = np.array(idx, dtype=int).reshape(-1, 2)
-    gaps = np.array([dm.energies[a] - dm.energies[b] for a, b in pairs])
-    lifetimes = np.array([decoherence_time(g, constants) for g in gaps])
-    base = np.array([abs(dm.coeffs[a, b]) for a, b in pairs])
-    decay = np.array([[offdiagonal_modulus(int(n), g, constants)
-                       for n in steps] for g in gaps]).reshape(pairs.shape[0],
-                                                              steps.size)
-    return DecoherenceReport(tau=constants.tau, pairs=pairs, energy_gaps=gaps,
-                             lifetimes=lifetimes, steps=steps,
-                             moduli=base[:, None] * decay)
+    """Tabulated off-diagonal decay for every pair a < b at the given steps,
+    each entry equal to :func:`decoherence_time` and
+    :func:`offdiagonal_modulus` of its pair, in one pass over all pairs."""
+    steps = np.atleast_1d(_step_count(steps, 0, "steps"))
+    if steps.size == 0:
+        raise ValueError("steps must be non-empty")
+    a, b = np.triu_indices(dm.dim, 1)
+    gaps = dm.energies[a] - dm.energies[b]
+    decay = offdiagonal_modulus(steps, gaps[:, None], constants)
+    return DecoherenceReport(
+        tau=constants.tau, pairs=np.stack([a, b], axis=1), energy_gaps=gaps,
+        lifetimes=decoherence_time(gaps, constants), steps=steps,
+        moduli=modulus(dm.coeffs[a, b])[:, None] * decay)
 
 
 def gamma_equivalence_check(dm: DensityMatrix, n: int,
@@ -258,7 +248,7 @@ def gamma_equivalence_check(dm: DensityMatrix, n: int,
     deviation over all entries (0 for ``n = 0``, where both sides are the
     identity).  All nonzero coefficients are columns of one signal, so the
     check costs one transform."""
-    n = _check_step(n)
+    n = _step_count(n, 0)
     if n == 0:
         return 0.0
     evolved = evolve_density(dm, n, constants).coeffs
@@ -283,9 +273,7 @@ def schroedinger_defect(n: int, delta_e,
     returned value measures how badly it fails.  Strictly increasing in
     ``n`` for a fixed nonzero gap; requires ``n >= 1``.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"defect is defined for n >= 1, got {n}")
-    z = constants.phase_scale(delta_e)
-    out = 0.5 * n * np.log1p(z * z)
+    n = _step_count(n, 1)
+    rate, _ = _phase_log(constants.phase_scale(delta_e))
+    out = n * rate
     return float(out) if np.ndim(delta_e) == 0 else out

@@ -16,10 +16,12 @@ Non-finite floats become the strings ``"inf"``, ``"-inf"`` and ``"nan"``
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -69,11 +71,7 @@ def _json_safe(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": _json_safe(value.real), "im": _json_safe(value.imag)}
     return value
@@ -88,12 +86,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
+        return repr(float(value))  # "inf", "-inf" and "nan" too
     text = str(value)
     if any(ch in text for ch in (",", '"', "\r", "\n")):
         text = '"' + text.replace('"', '""') + '"'
@@ -131,24 +124,32 @@ def csv_payload(text: str) -> str:
 
 
 def write_report(text: str, path: str | None) -> None:
-    """Write the report to ``path`` atomically, or to stdout if no path.
+    """Write the report to ``path``, symlinks followed, or to stdout.
 
-    The file appears either complete or not at all: the text goes to a
-    temporary file in the destination directory which is then renamed over
-    the target, so a crash mid-write never leaves a truncated report.
-    """
+    A regular file is replaced atomically, by a temporary file in its
+    directory renamed over it, so a crash never leaves a truncated report;
+    it keeps its mode, or gets 0o666 less the umask if new, as ``open``
+    would.  Any other target (a FIFO, a device) is written to directly."""
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dtmech-", suffix=".tmp")
+    target = os.path.realpath(path)
+    info = os.stat(target) if os.path.exists(target) else None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(target, "w", newline="") as handle:
+            handle.write(text)
+        return
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mode = stat.S_IMODE(info.st_mode) if info is not None else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dtmech-",
+                               suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
+            os.fchmod(fd, mode)
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise

@@ -1,10 +1,13 @@
 """Command-line interface: formats, exit codes, determinism, config merging."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -190,6 +193,13 @@ _TRANSFORM = ["transform", "--n", "3", "--tau", "0.5"]
      "--n", "2", "--tau", "1"],
     ["classical", "--model", "oscillator", "--route", "quadrature",
      "--x", "1e300", "--p", "1e300", "--n", "2", "--tau", "1"],
+    # quantity literals past the largest double, as written or once scaled
+    ["quantum", "td", "--delta-e", "1e400"],
+    ["quantum", "td", "--preset", "si-planck", "--delta-e", "1e400J"],
+    ["quantum", "td", "--delta-e", "1", "--horizon", "1e400"],
+    ["quantum", "td", "--preset", "si-planck", "--delta-e", "7meV",
+     "--horizon", "1e308yr"],
+    ["quantum", "defect", "--delta-e", "1e400", "--n", "1"],
 ], ids=" ".join)
 def test_non_finite_or_overflowing_input_is_one_config_error(tmp_path, capsys,
                                                              argv):
@@ -523,6 +533,62 @@ def test_td_custom_horizon_column(tmp_path):
     assert doc["rows"][0][2] is True  # t_d ~ 8.96 > 5
 
 
+def _mp_rate(z):
+    return mpmath.log1p(z * z) / 2
+
+
+_HBAR, _TAU = mpmath.mpf("1.054571817e-34"), mpmath.mpf("5.4e-44")
+
+
+@pytest.mark.parametrize("argv, column, exact", [
+    (["quantum", "td", "--delta-e", "1e200"], 1,
+     lambda: 1 / _mp_rate(mpmath.mpf("1e200"))),
+    (["quantum", "td", "--preset", "si-planck", "--delta-e", "1e180J"], 1,
+     lambda: _TAU / _mp_rate(mpmath.mpf("1e180") * _TAU / _HBAR)),
+    (["quantum", "defect", "--delta-e", "1e200", "--n", "1"], 2,
+     lambda: _mp_rate(mpmath.mpf("1e200"))),
+], ids=["td 1e200", "td si-planck 1e180J", "defect 1e200"])
+def test_a_huge_gap_has_a_finite_lifetime_and_defect(tmp_path, capsys, argv,
+                                                      column, exact):
+    # the gap's square overflows a double; its lifetime and defect do not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run_cli(argv + ["--format", "json"], tmp_path)
+    assert code == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    [row] = json.loads(text)["data"]["rows"]
+    with mpmath.workdps(40):
+        assert row[column] == pytest.approx(float(exact()), rel=1e-15)
+
+
+def test_evolve_across_a_huge_gap_keeps_the_coherence(tmp_path, capsys):
+    # one step multiplies the coherence by (1 - 1e200 i)^-1, about 1e-200 i,
+    # not by 0
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps({"energies": [0.0, 1e200],
+                                 "re": [[0.5, 0.5], [0.5, 0.5]],
+                                 "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run_cli(["quantum", "evolve", "--state", str(state),
+                              "--n", "1"], tmp_path)
+    assert code == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)["data"]
+    got = np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
+    with mpmath.workdps(40):
+        z = mpmath.mpf(1e200)
+        want = complex(0.5 / mpmath.mpc(1, -z))
+        rate = float(_mp_rate(z))
+    assert got[0, 0] == got[1, 1] == 0.5
+    assert got[1, 0] == np.conj(got[0, 1])
+    # the modulus is exp(-rate): see the decoherence report's mpmath test
+    tol = (rate + 2) * np.finfo(float).eps
+    assert abs(got[0, 1] - want) <= tol * abs(want)
+
+
 def _state_file(tmp_path, name="state.json", dim=3, seed=5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -807,3 +873,54 @@ def test_no_stray_temp_files(tmp_path):
     assert main(["transform", "--signal", "cos", "--n", "1",
                  "--output", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["only.csv"]
+
+
+_SMALL_REPORT = ["transform", "--signal", "cos", "--n", "1"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(_SMALL_REPORT + ["--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    _, rows = payload_rows(target.read_bytes().decode())
+    assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-12)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                         "target.csv"]
+
+
+def test_output_to_a_fifo_writes_into_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # the read end first, non-blocking: the report's writer cannot block,
+    # and a FIFO replaced by a file leaves nothing to read instead of a hang
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(_SMALL_REPORT + ["--output", str(fifo)]) == 0
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert csv_payload(text).startswith("n,value,error,evaluations,method\r\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_a_new_report_file_gets_the_mode_open_would_give(tmp_path, umask):
+    out = tmp_path / "new.csv"
+    old = os.umask(umask)
+    try:
+        assert main(_SMALL_REPORT + ["--output", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
+
+
+def test_a_rewritten_report_file_keeps_its_mode(tmp_path):
+    out = tmp_path / "kept.csv"
+    out.write_text("old")
+    out.chmod(0o640)
+    assert main(_SMALL_REPORT + ["--output", str(out)]) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+    assert out.read_text() != "old"

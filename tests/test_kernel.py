@@ -763,3 +763,22 @@ def test_probe_refuses_non_finite_or_non_positive_sizes(sigma, length):
         advection_negativity_probe(StepScheme(0.5), GammaKernel(1, 0.1),
                                    sigma=sigma, domain_length=length,
                                    points=1024)
+
+
+@pytest.mark.parametrize("z", [0.0, 5e-324, -5e-324, 1e-8, 1.0, 1.3e154,
+                               1e200, 1.7e308, math.inf, -math.inf])
+def test_phase_log_matches_mpmath_to_two_ulp(z):
+    # log|1 + iz| and atan z, also past the z where z^2 overflows a double,
+    # with numpy's warnings turned into errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise", under="ignore"):
+            rate, angle = kernel._phase_log(z)
+    if math.isinf(z):
+        assert (rate, angle) == (math.inf, math.copysign(math.pi / 2, z))
+        return
+    with mpmath.workdps(40):
+        x = mpmath.mpf(z)
+        exact = (float(mpmath.log1p(x * x) / 2), float(mpmath.atan(x)))
+    for got, want in zip((rate, angle), exact):
+        assert abs(float(got) - want) <= 2 * np.spacing(abs(want))

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -221,6 +223,38 @@ def test_decoherence_report_structure():
     np.testing.assert_allclose(rep.moduli[2], 0.05, rtol=0)
     with pytest.raises(ValueError):
         decoherence_report(dm, [3, 1], NATURAL)
+
+
+def test_decoherence_report_is_its_pairs_own_lifetimes_and_moduli():
+    # the vectorised table equals the scalar functions entry for entry, also
+    # at a gap whose square overflows a double, and warns about nothing
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    rho = g @ g.conj().T
+    dm = DensityMatrix([0.0, 1e200, 0.3, 0.3, -2.0], rho / rho.trace().real)
+    steps = [0, 1, 2, 7, 40]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decoherence_report(dm, steps)
+        assert rep.pairs.tolist() == [[a, b] for a in range(5)
+                                      for b in range(a + 1, 5)]
+        for (a, b), gap, lifetime, moduli in zip(
+                rep.pairs, rep.energy_gaps, rep.lifetimes, rep.moduli):
+            assert gap == dm.energies[a] - dm.energies[b]
+            assert lifetime == decoherence_time(gap)
+            assert moduli.tolist() == [abs(dm.coeffs[a, b])
+                                       * offdiagonal_modulus(n, gap)
+                                       for n in steps]
+    with mpmath.workdps(40):
+        rate = mpmath.log1p(mpmath.mpf(1e200) ** 2) / 2
+        c = abs(mpmath.mpc(dm.coeffs[0, 1]))
+        assert rep.lifetimes[0] == pytest.approx(float(1 / rate), rel=1e-15)
+        # exp(-n rate) turns the last-bit rounding of rate (about 460 here)
+        # into a relative error of up to (n rate + 2) eps
+        eps = np.finfo(float).eps
+        for n, got in zip(steps, rep.moduli[0]):
+            want = float(c * mpmath.exp(-n * rate))
+            assert got == pytest.approx(want, rel=(n * float(rate) + 2) * eps)
 
 
 # ---------------------------------------------------------------------------
