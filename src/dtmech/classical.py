@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StiffnessFailure
-from .kernel import (GammaKernel, TimeSignal, _phase_log, _step_count,
-                     screening_horizon, transform_quadrature)
+from .kernel import (GammaKernel, TimeSignal, _phase_log, _positive,
+                     _step_count, screening_horizon, transform_quadrature)
 
 __all__ = [
     "PhaseState",
@@ -158,8 +158,7 @@ class Trajectory:
 
 
 def _integrate_field(fieldfn, y0, t_max: float) -> Trajectory:
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
+    t_max = _positive("t_max", t_max)
     from scipy.integrate import solve_ivp  # on first use; see kernel
     sol = solve_ivp(lambda t, y: np.asarray(fieldfn(y), dtype=float),
                     (0.0, t_max), y0, method="DOP853", dense_output=True,
@@ -357,8 +356,7 @@ def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
     Different frequencies per component are not supported — the cross-moment
     closed form is only established for a common frequency.
     """
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    omega = _positive("omega", omega)
     scale = np.sqrt(state.masses * omega)
     unit_state = PhaseState(state.positions * scale, state.momenta / scale,
                             np.ones(state.dof))

@@ -51,7 +51,7 @@ from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         free_particle_moments, quadrature_moments,
                         sho_moments_scaled)
 from .errors import NumericalError
-from .kernel import (GammaKernel, QuadratureRule, StepScheme,
+from .kernel import (GammaKernel, QuadratureRule, StepScheme, _positive,
                      advection_negativity_probe, complex_exponential_signal,
                      constant_signal, cosine_signal, exponential_signal,
                      monomial_signal, scheme_delta_coefficient,
@@ -370,11 +370,7 @@ def _fit_meta(est) -> dict:
 
 def _cmd_chaos_ct(args):
     model = SensitivityModel(_need(args, "a", "--a"), args.c)
-    t_max = _need(args, "t_max", "--t-max")
-    if not (t_max > 0):
-        raise ConfigError(f"--t-max must be > 0, got {t_max!r}")
-    if not np.isfinite(t_max):
-        raise ConfigError(f"--t-max must be finite, got {t_max!r}")
+    t_max = _positive("--t-max", _need(args, "t_max", "--t-max"))
     grid = np.linspace(0.0, t_max, args.grid)
     distances = ct_distance(model, grid)
     extra = {}

@@ -90,9 +90,7 @@ class GammaKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _step_count(self.n, 1))
-        if not (float(self.tau) > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"time quantum tau must be finite and > 0, got {self.tau!r}")
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _positive("time quantum tau", self.tau))
 
 
 def _step_count(n, minimum: int, what: str = "step count n"):
@@ -103,6 +101,29 @@ def _step_count(n, minimum: int, what: str = "step count n"):
             np.isfinite(a) & (a == np.floor(a)) & (a >= minimum)).all():
         return int(a) if a.ndim == 0 else a.astype(int)
     raise ValueError(f"{what} must be an integer >= {minimum}, got {n!r}")
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float: finite, > 0 and not a bool; else ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < float(value) < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def _growth(z, what: str) -> float:
+    """``1 - z`` for a growth per step ``z = g tau < 1``, where a smeared
+    ``e^{g t}`` exists; else (nan too) ``DivergentTransform`` naming ``what``."""
+    if not z < 1.0:
+        raise DivergentTransform(
+            f"{what} diverges: growth per step g*tau = {z!r} is not below 1")
+    return 1.0 - z
+
+
+def _backward(scheme: "StepScheme", what: str) -> float:
+    """The scheme's backward weight beta; ``BackwardOnly`` for beta = 0."""
+    if scheme.beta == 0.0:
+        raise BackwardOnly(f"alpha = 1 (beta = 0): {what} needs a backward part")
+    return scheme.beta
 
 
 def _phase_log(z):
@@ -170,14 +191,18 @@ class TimeSignal:
     or ``(m, k)`` for ``k`` observables transformed in one quadrature pass;
     complex values give complex results.
     ``growth_rate`` is an optional declared exponential growth bound g with
-    ``|F(t)| <= C * exp(g t)``; when present, convergence is decided from
-    ``g * tau < 1`` directly and the screening probe is skipped.  Signals
-    without a declared bound are screened numerically far beyond the weight's
-    bulk before any transform is attempted.
+    ``|F(t)| <= C * exp(g t)``, a finite number; when present, convergence is
+    decided from ``g * tau < 1`` directly and the screening probe is skipped.
+    Signals without a declared bound are screened numerically far beyond the
+    weight's bulk before any transform is attempted.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     growth_rate: float | None = None
+
+    def __post_init__(self):
+        if self.growth_rate is not None:
+            _require_finite("growth rate", self.growth_rate)
 
 
 def _require_finite(name: str, value) -> None:
@@ -313,10 +338,8 @@ class QuadratureRule:
     @classmethod
     def for_kernel(cls, kernel: GammaKernel,
                    error_target: float = 1e-10) -> "QuadratureRule":
-        if not (error_target > 0.0 and math.isfinite(error_target)):
-            raise ValueError(f"error target must be finite and > 0, "
-                             f"got {error_target!r}")
-        return cls(step_count=kernel.n, error_target=float(error_target))
+        return cls(step_count=kernel.n,
+                   error_target=_positive("error target", error_target))
 
 
 class TransformResult(NamedTuple):
@@ -349,23 +372,24 @@ def screening_horizon(kernel: GammaKernel) -> float:
     return kernel.tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
 
 
-def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
-    """Reject signals whose smearing integral cannot converge.
+def _screen_convergence(signal: TimeSignal, kernel: GammaKernel,
+                        what: str = "the smearing integral",
+                        power: int = 1) -> float | None:
+    """Reject signals for which ``what``, the smearing integral of
+    ``|F|^power``, cannot converge.
 
-    A declared growth rate decides immediately (``g*tau >= 1`` diverges;
-    marginal growth is rejected, not special-cased).  Without a declaration
-    the integrand's log-magnitude is probed at ``u* = n + 10 sqrt(n) + 50``
-    and at twice that; if the far window still dominates, the tail is growing
-    and the transform is refused as suspected divergence.  A signal with
-    several columns is refused if any one of them grows.
+    A declared growth rate g decides through :func:`_growth` at the growth
+    ``power g`` (marginal growth is rejected), whose ``1 - power g tau`` is
+    returned.  Without one the integrand's log-magnitude is probed at
+    ``u* = n + 10 sqrt(n) + 50`` and at twice that; if the far window still
+    dominates, the tail is growing and the transform is refused as suspected
+    divergence.  A signal with several columns is refused if any one of
+    them grows.
     """
     if signal.growth_rate is not None:
-        if signal.growth_rate * kernel.tau >= 1.0:
-            raise DivergentTransform(
-                f"declared growth rate {signal.growth_rate} with tau={kernel.tau} "
-                f"gives g*tau >= 1; the smearing integral diverges"
-            )
-        return
+        g = power * signal.growth_rate
+        return _growth(g * kernel.tau, f"{what} at growth rate {g} and "
+                       f"tau={kernel.tau}")
     n, tau = kernel.n, kernel.tau
     t_end = screening_horizon(kernel)
     width = tau * np.array([0.0, 0.5, 1.0])
@@ -374,13 +398,13 @@ def _screen_convergence(signal: TimeSignal, kernel: GammaKernel) -> None:
         u = t / tau
         f = np.abs(np.asarray(signal.evaluate(t), dtype=complex))
         with np.errstate(divide="ignore"):
-            return np.max(as_rows((n - 1) * np.log(u) - u, f) + np.log(f), axis=0)
+            return np.max(as_rows((n - 1) * np.log(u) - u, f) + power * np.log(f),
+                          axis=0)
 
     if np.any(window_max(t_end - width) > window_max(0.5 * (t_end - tau) + width)):
         raise DivergentTransform(
-            "undeclared signal still grows against the weight at "
-            f"u ~ {t_end / tau:.0f} (n={n}, tau={tau}); suspected divergence"
-        )
+            f"{what}: the undeclared signal still grows against the weight "
+            f"at u ~ {t_end / tau:.0f} (n={n}, tau={tau}); suspected divergence")
 
 
 def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
@@ -398,7 +422,7 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     Gauss--Legendre panels on ``u`` in [0, U(n)], the screening window,
     before giving up.
     """
-    _screen_convergence(signal, kernel)
+    shrink = _screen_convergence(signal, kernel)
     if rule is None:
         rule = QuadratureRule.for_kernel(kernel)
     elif rule.step_count != kernel.n:
@@ -414,8 +438,6 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
         # (1 - g tau)^(-n) times the transform of H at the inflated quantum
         # tau / (1 - g tau); the effective integrand decays, which keeps
         # far-node noise from being amplified by exp(+g t)
-        shrink = 1.0 - g * kernel.tau
-
         def evaluate(t):
             t = np.asarray(t, dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -501,8 +523,9 @@ def sample_internal_time(kernel: GammaKernel, rng: np.random.Generator,
     """Draw internal times distributed as ``tau * Gamma(n, 1)``.
 
     Returns a scalar when ``size`` is omitted, else an array of that length.
-    Draws come from ``rng.gamma``, one after another, so a scalar draw is
-    the first element of an array drawn from the same generator state.
+    Draws come from the generator's gamma sampler, one after another, so a
+    scalar draw is the first element of an array drawn from the same
+    generator state.
     """
     m = 1 if size is None else int(size)
     if m < 1:
@@ -518,19 +541,19 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     """Monte Carlo smearing: average the signal over internal-time draws.
 
     The estimate is the sample mean of ``F(tau * U_i)`` with
-    ``U_i ~ Gamma(n, 1)`` and the reported uncertainty is the standard error
-    of that mean.  Reductions run through the fixed pairwise tree, so a given
-    seed reproduces the estimate bit for bit.  The estimate is complex when
-    the signal returns complex values; a signal with ``k`` columns gives
-    length-``k`` estimates and standard errors, each equal to its column's
-    own.
+    ``U_i ~ Gamma(n, 1)``; its uncertainty is the standard error of that
+    mean, which needs the transform of ``|F|^2`` (growth 2g) to exist: the
+    divergence screening sees ``|F|^2``, which also bounds the mean.
+    Reductions run through the fixed pairwise tree, so a given seed
+    reproduces the estimate bit for bit.  The estimate is complex when the
+    signal returns complex values; a signal with ``k`` columns gives
+    length-``k`` estimates and standard errors, each its column's own.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
-    _screen_convergence(signal, kernel)
-    rng = np.random.default_rng(seed)
-    u = rng.gamma(kernel.n, size=int(samples))
-    values = np.asarray(signal.evaluate(kernel.tau * u))
+    _screen_convergence(signal, kernel, "the Monte Carlo variance", power=2)
+    t = sample_internal_time(kernel, np.random.default_rng(seed), samples)
+    values = np.asarray(signal.evaluate(t))
     mean = pairwise_sum(values) / samples
     resid = values - mean
     var = np.real(pairwise_sum(np.abs(resid) ** 2)) / (samples - 1)
@@ -568,10 +591,7 @@ def scheme_delta_coefficient(scheme: StepScheme, n: int) -> float:
     point mass at the initial time, negative for odd ``n``.
     """
     n = _step_count(n, 1, "n")
-    if scheme.beta == 0.0:
-        raise BackwardOnly("alpha = 1 (beta = 0) has no backward component; "
-                           "the delta coefficient is undefined")
-    return (-scheme.alpha / scheme.beta) ** n
+    return (-scheme.alpha / _backward(scheme, "the delta coefficient")) ** n
 
 
 @dataclass(frozen=True)
@@ -595,16 +615,9 @@ class SchemeDecomposition:
 
     def continuous_density(self, xi):
         """Evaluate the absolutely continuous part (the gamma mixture)."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        mask = (xi > 0.0) & (xi < np.inf)
-        if np.any(mask):
-            sm = xi[mask]
-            acc = np.zeros_like(sm)
-            for w, j in zip(self.mixture_weights, self.shapes):
-                logh = _log_density_core(GammaKernel(j, self.scale), sm)
-                acc += w * np.exp(logh)
-            out[mask] = acc
+        out = np.zeros_like(np.asarray(xi, dtype=float))
+        for w, j in zip(self.mixture_weights, self.shapes):
+            out += w * gamma_density(GammaKernel(j, self.scale), xi)
         return out
 
 
@@ -616,11 +629,8 @@ def scheme_density_decomposition(scheme: StepScheme,
     coefficients are exact binomials, intended for moderate ``n`` (they grow
     combinatorially and are reported as floats).
     """
-    if scheme.beta == 0.0:
-        raise BackwardOnly("alpha = 1 (beta = 0): density decomposition "
-                           "requires a backward component")
-    n = kernel.n
-    alpha, beta = scheme.alpha, scheme.beta
+    beta = _backward(scheme, "the density decomposition")
+    n, alpha = kernel.n, scheme.alpha
     j = np.arange(1, n + 1)
     comb = np.array([math.comb(n, int(jj)) for jj in j], dtype=float)
     weights = beta ** (-float(n)) * comb * (-alpha) ** (n - j).astype(float)
@@ -660,12 +670,9 @@ def advection_negativity_probe(scheme: StepScheme, kernel: GammaKernel,
     """
     if points < 2 or points & (points - 1):
         raise ValueError(f"points must be a power of two, got {points!r}")
-    if scheme.beta == 0.0:
-        raise BackwardOnly("alpha = 1 (beta = 0) is outside the probe's family")
-    if not (sigma > 0.0 and math.isfinite(sigma)
-            and domain_length > 0.0 and math.isfinite(domain_length)):
-        raise ValueError(f"sigma and domain length must be finite and > 0, "
-                         f"got {sigma!r} and {domain_length!r}")
+    beta = _backward(scheme, "the advection probe")
+    sigma = _positive("sigma", sigma)
+    domain_length = _positive("domain length", domain_length)
     n, tau = kernel.n, kernel.tau
     dx = domain_length / points
     drift = n * tau
@@ -685,7 +692,7 @@ def advection_negativity_probe(scheme: StepScheme, kernel: GammaKernel,
     k = 2.0 * math.pi * np.fft.rfftfreq(points, d=dx)
     # the symbol in log-polar form, from (1 - i a) = |1 + i a| e^{-i atan a}
     (rate_a, rate_b), (angle_a, angle_b) = _phase_log(
-        np.outer([scheme.alpha * tau, scheme.beta * tau], k))
+        np.outer([scheme.alpha * tau, beta * tau], k))
     symbol = np.exp(n * (rate_a - rate_b) - 1j * n * (angle_a + angle_b))
     evolved = np.fft.irfft(np.fft.rfft(initial) * symbol, n=points)
     return AdvectionProbe(

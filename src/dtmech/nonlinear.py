@@ -34,7 +34,7 @@ import numpy as np
 
 from ._util import EPS, FIRST_PANELS, MAX_PANELS, legendre_panels, refine
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
-from .kernel import GammaKernel, _step_count
+from .kernel import GammaKernel, _growth, _positive, _step_count
 
 __all__ = [
     "SensitivityModel",
@@ -78,11 +78,9 @@ class SensitivityModel:
     b: float = field(init=False)
 
     def __post_init__(self):
-        a, c = float(self.a), float(self.c)
+        a, c = float(self.a), _positive("growth rate c", self.c)
         if not (abs(a) < 1.0):
             raise ValueError(f"initial value must satisfy |a| < 1, got {a!r}")
-        if not (c > 0 and math.isfinite(c)):
-            raise ValueError(f"growth rate must be finite and > 0, got {c!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", math.acos(a))
@@ -248,11 +246,10 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     of each term's exponent, which more panels cannot shrink.
     """
     n = _step_count(n, 1)
-    if not (0.0 < lam < 1.0):
-        raise DivergentTransform(
-            f"smeared growth requires growth*tau in (0, 1), got {lam!r}")
-    if not (b > 0 and math.isfinite(b)):
-        raise ValueError(f"phase parameter must be finite and > 0, got {b!r}")
+    _growth(lam, "the chirped sine expectation")
+    if not lam > 0.0:
+        raise DivergentTransform(f"smeared growth needs growth*tau > 0, got {lam!r}")
+    b = _positive("phase parameter b", b)
     # lam X: where b e^{lam X} reaches e^CONTOUR_END, or CONTOUR_END
     reach = CONTOUR_END + max(0.0, -math.log(b))
     x_end = reach / lam
@@ -312,16 +309,8 @@ def _rescaled(x: float, log_scale: float) -> float:
     if x == 0.0:
         return 0.0
     log_abs = math.log(abs(x)) + log_scale
-    return math.copysign(math.inf if log_abs > 709.0 else math.exp(log_abs), x)
-
-
-def _growth_parameter(model: SensitivityModel, kernel: GammaKernel) -> float:
-    lam = model.c * kernel.tau
-    if lam >= 1.0:
-        raise DivergentTransform(
-            f"growth {model.c} times step {kernel.tau} must stay below 1 "
-            f"for the smeared sensitivity to exist (got {lam})")
-    return lam
+    return math.copysign(
+        math.inf if log_abs > LOG_MAX_DOUBLE else math.exp(log_abs), x)
 
 
 def dt_sensitivity(model: SensitivityModel,
@@ -332,8 +321,7 @@ def dt_sensitivity(model: SensitivityModel,
     at the kernel's step count; keeps sign, log-magnitude, and method so
     fits and cross-checks can use whichever form survives underflow.
     """
-    lam = _growth_parameter(model, kernel)
-    raw = chirped_sine_expectation(kernel.n, lam, model.b)
+    raw = chirped_sine_expectation(kernel.n, model.c * kernel.tau, model.b)
     f = model.spread_factor
     return ChirpedExpectation(f * raw.value,
                               raw.log_magnitude + math.log(f),
@@ -415,8 +403,5 @@ def exponential_map(b_rate: float, kernel: GammaKernel) -> float:
     if not math.isfinite(b_rate):
         raise ValueError(f"growth rate must be finite, got {b_rate!r}")
     z = b_rate * kernel.tau
-    if z >= 1.0:
-        raise DivergentTransform(
-            f"rate {b_rate} times step {kernel.tau} reaches {z} >= 1: "
-            "the smearing integral diverges")
+    _growth(z, "the exponential map")
     return -math.log1p(-z) / kernel.tau

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import modulus
-from .kernel import (GammaKernel, TimeSignal, _phase_log, _step_count,
-                     transform_quadrature)
+from .kernel import (GammaKernel, TimeSignal, _phase_log, _positive,
+                     _step_count, transform_quadrature)
 
 __all__ = [
     "DensityMatrix",
@@ -41,20 +41,22 @@ __all__ = [
 
 ELECTRON_VOLT = 1.602176634e-19  # J
 SECONDS_PER_YEAR = 3.15576e7  # Julian year
+# ln 2 split as by Cody and Waite: k * LN2_HI is exact for every exponent k
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Action scale and time quantum; see :data:`NATURAL` / :data:`SI_PLANCK`."""
+    """Action scale and time quantum, each finite and > 0, as is their ratio
+    ``tau/hbar``; see :data:`NATURAL` / :data:`SI_PLANCK`."""
 
     hbar: float
     tau: float
 
     def __post_init__(self):
         for name in ("hbar", "tau"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
+        _positive("tau/hbar", self.tau / self.hbar)
 
     def phase_scale(self, delta_e) -> np.ndarray | float:
         """Dimensionless per-step phase tau * delta_e / hbar."""
@@ -137,10 +139,30 @@ def project_density(energies, coeffs) -> DensityMatrix:
     return DensityMatrix(e, repaired)
 
 
+def _gap_log(constants: PhysicalConstants, e_a, e_b=0.0):
+    """``_phase_log`` of ``z = tau (e_a - e_b) / hbar``, the gap taken as
+    ``2 (e_a/2 - e_b/2)`` where it overflows.  Where ``z`` overflows, log|z|
+    is formed with one rounding from the exact binary exponents of the gap,
+    ``tau`` and ``hbar``; each ``z`` whose square is a double keeps its bits."""
+    with np.errstate(over="ignore"):
+        gap = np.subtract(e_a, e_b)
+        wide = np.isinf(gap)
+        part = np.where(wide, np.multiply(e_a, 0.5) - np.multiply(e_b, 0.5), gap)
+        z = constants.phase_scale(part) * np.where(wide, 2.0, 1.0)
+    rate, angle = _phase_log(z)
+    far = np.isinf(z)
+    if far.any():
+        m, k = np.frexp(np.abs(part[far]))
+        (mt, kt), (mh, kh) = math.frexp(constants.tau), math.frexp(constants.hbar)
+        k = k + wide[far] + (kt - kh)
+        rate[far] = k * LN2_HI + (np.log(m * (mt / mh)) + k * LN2_LO)
+    return rate, angle
+
+
 def _coherence_factors(energies: np.ndarray, n: int,
                        constants: PhysicalConstants) -> np.ndarray:
     """Entrywise matrix [1 + i tau (e_a - e_b)/hbar]^{-n} in polar form."""
-    rate, angle = _phase_log(constants.phase_scale(np.subtract.outer(energies, energies)))
+    rate, angle = _gap_log(constants, energies[:, None], energies[None, :])
     phase = -n * angle
     return np.exp(-n * rate) * (np.cos(phase) + 1j * np.sin(phase))
 
@@ -170,7 +192,7 @@ def decoherence_time(delta_e, constants: PhysicalConstants = NATURAL):
     Infinite for a degenerate pair or past the largest double, finite for
     every other gap; scalars or arrays, in the units of ``constants.tau``.
     """
-    rate, _ = _phase_log(constants.phase_scale(delta_e))
+    rate, _ = _gap_log(constants, delta_e)
     with np.errstate(divide="ignore", over="ignore"):
         out = constants.tau / rate
     return float(out) if np.ndim(delta_e) == 0 else out
@@ -185,7 +207,7 @@ def offdiagonal_modulus(n: int, delta_e,
     ``n`` may be an array that broadcasts against the gaps.
     """
     n = _step_count(n, 0)
-    rate, _ = _phase_log(constants.phase_scale(delta_e))
+    rate, _ = _gap_log(constants, delta_e)
     out = np.exp(-n * rate)
     return float(out) if np.ndim(delta_e) == 0 else out
 
@@ -230,12 +252,14 @@ def decoherence_report(dm: DensityMatrix, steps,
     if steps.size == 0:
         raise ValueError("steps must be non-empty")
     a, b = np.triu_indices(dm.dim, 1)
-    gaps = dm.energies[a] - dm.energies[b]
-    decay = offdiagonal_modulus(steps, gaps[:, None], constants)
+    e_a, e_b = dm.energies[a], dm.energies[b]
+    rate, _ = _gap_log(constants, e_a, e_b)
+    with np.errstate(divide="ignore", over="ignore"):
+        gaps, lifetimes = e_a - e_b, constants.tau / rate
     return DecoherenceReport(
         tau=constants.tau, pairs=np.stack([a, b], axis=1), energy_gaps=gaps,
-        lifetimes=decoherence_time(gaps, constants), steps=steps,
-        moduli=modulus(dm.coeffs[a, b])[:, None] * decay)
+        lifetimes=lifetimes, steps=steps,
+        moduli=modulus(dm.coeffs[a, b])[:, None] * np.exp(-steps * rate[:, None]))
 
 
 def gamma_equivalence_check(dm: DensityMatrix, n: int,
@@ -274,6 +298,6 @@ def schroedinger_defect(n: int, delta_e,
     ``n`` for a fixed nonzero gap; requires ``n >= 1``.
     """
     n = _step_count(n, 1)
-    rate, _ = _phase_log(constants.phase_scale(delta_e))
+    rate, _ = _gap_log(constants, delta_e)
     out = n * rate
     return float(out) if np.ndim(delta_e) == 0 else out

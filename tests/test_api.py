@@ -1,17 +1,26 @@
 """The public surface: every exported name resolves (``__all__`` lists only
-what a module holds), and every step count is checked by one rule."""
+what a module holds), and every step count, positive parameter, growth per
+step and backward part is checked by one rule."""
 import importlib
+import math
 import pkgutil
 
 import numpy as np
 import pytest
 
 import dtmech
-from dtmech import (DensityMatrix, GammaKernel, PhaseState, StepScheme,
+from dtmech import (BackwardOnly, CustomField, DensityMatrix,
+                    DivergentTransform, GammaKernel, PhaseState,
+                    PhysicalConstants, QuadratureRule, SensitivityModel,
+                    StepScheme, advection_negativity_probe,
                     chirped_sine_expectation, decoherence_report,
-                    evolve_density, free_particle_moments,
+                    dt_sensitivity, evolve_density, exponential_map,
+                    exponential_signal, free_particle_moments,
                     gamma_equivalence_check, offdiagonal_modulus,
-                    schroedinger_defect, scheme_delta_coefficient)
+                    schroedinger_defect, scheme_delta_coefficient,
+                    scheme_density_decomposition, sho_moments_scaled,
+                    transform_monte_carlo, transform_quadrature)
+from dtmech.cli import main
 
 # ``__main__`` is left out: importing it runs the command line
 MODULES = ["dtmech"] + sorted(f"dtmech.{m.name}"
@@ -57,3 +66,77 @@ def test_a_step_count_is_a_whole_number_not_a_bool(caller, value):
     # 2.5 is not rounded down to 2, nor True read as 1
     with pytest.raises(ValueError, match="must be an integer >= "):
         _STEP_CALLERS[caller](value)
+
+
+_POSITIVE = r" must be finite and > 0, got "
+_GROWTH = r" diverges: growth per step g\*tau = \S+ is not below 1$"
+_BACKWARD = r"^alpha = 1 \(beta = 0\): .+ needs a backward part$"
+_PROBE = {"sigma": 0.1, "domain_length": 8.0, "points": 1024}
+_REFUSALS = {
+    # one positive-parameter rule, bools refused
+    "GammaKernel tau": (lambda: GammaKernel(3, True), ValueError,
+                        "^time quantum tau" + _POSITIVE),
+    "error target": (lambda: QuadratureRule.for_kernel(
+        GammaKernel(3, 0.5), error_target=True), ValueError,
+        "^error target" + _POSITIVE),
+    "PhysicalConstants hbar": (lambda: PhysicalConstants(hbar=True, tau=1.0),
+                               ValueError, "^hbar" + _POSITIVE),
+    "PhysicalConstants tau": (lambda: PhysicalConstants(hbar=1.0, tau=True),
+                              ValueError, "^tau" + _POSITIVE),
+    "PhysicalConstants tau/hbar": (lambda: PhysicalConstants(hbar=1e-300,
+                                                             tau=1e10),
+                                   ValueError, "^tau/hbar" + _POSITIVE),
+    "SensitivityModel c": (lambda: SensitivityModel(0.5, math.nan),
+                           ValueError, "^growth rate c" + _POSITIVE),
+    "chirp b": (lambda: chirped_sine_expectation(3, 0.5, -1.0), ValueError,
+                "^phase parameter b" + _POSITIVE),
+    "sho_moments_scaled omega": (lambda: sho_moments_scaled(
+        PhaseState([1.0], [0.0], [1.0]), GammaKernel(3, 0.5), omega=True),
+        ValueError, "^omega" + _POSITIVE),
+    "probe sigma": (lambda: advection_negativity_probe(
+        StepScheme(0.5), GammaKernel(1, 0.1), **{**_PROBE, "sigma": 0.0}),
+        ValueError, "^sigma" + _POSITIVE),
+    "probe domain length": (lambda: advection_negativity_probe(
+        StepScheme(0.5), GammaKernel(1, 0.1),
+        **{**_PROBE, "domain_length": math.inf}),
+        ValueError, "^domain length" + _POSITIVE),
+    "CustomField t_max": (lambda: CustomField(lambda y: -y).trajectory(
+        PhaseState([1.0], [0.0], [1.0]), True), ValueError,
+        "^t_max" + _POSITIVE),
+    # one growth rule, nan included
+    "transform_quadrature": (lambda: transform_quadrature(
+        exponential_signal(2.0), GammaKernel(3, 0.5)), DivergentTransform,
+        "^the smearing integral at growth rate 2.0 and tau=0.5" + _GROWTH),
+    "transform_monte_carlo": (lambda: transform_monte_carlo(
+        exponential_signal(1.5), GammaKernel(3, 0.5), 100, 1),
+        DivergentTransform, "^the Monte Carlo variance .+" + _GROWTH),
+    "chirped_sine_expectation": (lambda: chirped_sine_expectation(
+        3, math.nan, 1.0), DivergentTransform,
+        "^the chirped sine expectation" + _GROWTH),
+    "dt_sensitivity": (lambda: dt_sensitivity(SensitivityModel(0.5, 2.0),
+                                              GammaKernel(3, 0.5)),
+                       DivergentTransform, _GROWTH),
+    "exponential_map": (lambda: exponential_map(2.0, GammaKernel(3, 0.5)),
+                        DivergentTransform, "^the exponential map" + _GROWTH),
+    # one backward-part rule
+    "scheme_delta_coefficient": (lambda: scheme_delta_coefficient(
+        StepScheme(1.0), 2), BackwardOnly, _BACKWARD),
+    "scheme_density_decomposition": (lambda: scheme_density_decomposition(
+        StepScheme(1.0), GammaKernel(2, 1.0)), BackwardOnly, _BACKWARD),
+    "advection_negativity_probe": (lambda: advection_negativity_probe(
+        StepScheme(1.0), GammaKernel(1, 0.1), **_PROBE), BackwardOnly,
+        _BACKWARD),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_REFUSALS))
+def test_each_precondition_is_refused_by_its_one_rule(caller):
+    call, kind, message = _REFUSALS[caller]
+    with pytest.raises(kind, match=message):
+        call()
+
+
+def test_the_cli_refuses_a_bad_t_max_by_the_same_rule(capsys):
+    assert main(["chaos", "ct", "--a", "0.5", "--t-max", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "ValueError: --t-max must be finite and > 0, got -1.0\n")

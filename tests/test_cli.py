@@ -589,6 +589,29 @@ def test_evolve_across_a_huge_gap_keeps_the_coherence(tmp_path, capsys):
     assert abs(got[0, 1] - want) <= tol * abs(want)
 
 
+def test_evolve_across_an_overflowing_gap_keeps_the_coherence(tmp_path,
+                                                              capsys):
+    # e_a - e_b = -2e308 overflows a double: one step still multiplies the
+    # coherence by about 5e-309 i, silently, instead of giving 0 and a warning
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps({"energies": [-1e308, 1e308],
+                                 "re": [[0.5, 0.5], [0.5, 0.5]],
+                                 "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run_cli(["quantum", "evolve", "--state", str(state),
+                              "--n", "1"], tmp_path)
+    assert code == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    doc = json.loads(text)["data"]
+    got = complex(doc["re"][0][1], doc["im"][0][1])
+    with mpmath.workdps(40):
+        gap = mpmath.mpf(-1e308) - mpmath.mpf(1e308)
+        want = complex(0.5 / mpmath.mpc(1, gap))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def _state_file(tmp_path, name="state.json", dim=3, seed=5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

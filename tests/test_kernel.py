@@ -357,6 +357,34 @@ def test_transform_divergent_screened():
         transform_monte_carlo(undeclared, GammaKernel(2, 1.0), samples=100, seed=0)
 
 
+
+def test_monte_carlo_refuses_a_variance_that_diverges():
+    # the standard error of a sample mean needs the transform of |F|^2: at
+    # 2 g tau = 0.4 it exists and the error bar covers the exact
+    # (1 - g tau)^-3 ...
+    est = transform_monte_carlo(exponential_signal(2.0), GammaKernel(3, 0.1),
+                                samples=100_000, seed=1)
+    assert abs(est.estimate - 0.8 ** -3) <= 6 * est.standard_error
+    # ... and where it diverges, the mean still exists (quadrature finds
+    # it), but an estimate would land many standard errors below it
+    for signal, tau in [
+            (exponential_signal(8.0), 0.1),    # 2 g tau = 1.6
+            (exponential_signal(6.0), 0.1),    # 2 g tau = 1.2
+            (kernel.TimeSignal(lambda t: np.exp(3.0 * np.asarray(t))), 0.2)]:
+        ker = GammaKernel(3, tau)
+        assert transform_quadrature(signal, ker).value > 0
+        with pytest.raises(errors.DivergentTransform,
+                           match="Monte Carlo variance"):
+            transform_monte_carlo(signal, ker, samples=100_000, seed=1)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_a_declared_growth_rate_must_be_finite(rate):
+    # a non-finite rate would skip the screening: e^{3t} at n = 3, tau = 0.5
+    # diverges, yet Monte Carlo returned a number for it
+    with pytest.raises(ValueError, match="growth rate must be finite"):
+        kernel.TimeSignal(lambda t: np.exp(3.0 * np.asarray(t)), rate)
+
 # ---------------------------------------------------------------------------
 # column signals: one pass per node count serves every column
 

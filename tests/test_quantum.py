@@ -257,6 +257,63 @@ def test_decoherence_report_is_its_pairs_own_lifetimes_and_moduli():
             assert got == pytest.approx(want, rel=(n * float(rate) + 2) * eps)
 
 
+
+_TINY_HBAR = PhysicalConstants(hbar=1e-300, tau=1.0)
+_HUGE_GAP = DensityMatrix([-1e308, 1e308], np.full((2, 2), 0.5))
+
+
+def _mp_log_modulus(gap, constants):
+    """log|1 + iz| for z = tau gap / hbar, from the doubles as given."""
+    z = mpmath.mpf(gap) * mpmath.mpf(constants.tau) / mpmath.mpf(constants.hbar)
+    return mpmath.log1p(z ** 2) / 2
+
+
+# each case: the value, and its 40-digit truth at the same doubles
+_OVERFLOWING_PHASES = {
+    "modulus at n = 0": (lambda: offdiagonal_modulus(0, 1e10, _TINY_HBAR),
+                         lambda: 1),
+    "modulus at n = 1": (lambda: offdiagonal_modulus(1, 1e10, _TINY_HBAR),
+                         lambda: mpmath.exp(-_mp_log_modulus(1e10, _TINY_HBAR))),
+    "lifetime": (lambda: decoherence_time(1e10, _TINY_HBAR),
+                 lambda: 1 / _mp_log_modulus(1e10, _TINY_HBAR)),
+    "defect": (lambda: schroedinger_defect(1, 1e10, _TINY_HBAR),
+               lambda: _mp_log_modulus(1e10, _TINY_HBAR)),
+    "evolved coherence": (
+        lambda: abs(evolve_density(_HUGE_GAP, 1).coeffs[0, 1]),
+        lambda: mpmath.exp(-_mp_log_modulus(
+            mpmath.mpf(-1e308) - mpmath.mpf(1e308), NATURAL)) / 2),
+    "report modulus": (
+        lambda: decoherence_report(_HUGE_GAP, [0, 1]).moduli[0, 1],
+        lambda: mpmath.exp(-_mp_log_modulus(
+            mpmath.mpf(-1e308) - mpmath.mpf(1e308), NATURAL)) / 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_PHASES))
+def test_a_phase_past_the_largest_double_keeps_its_value(case):
+    # tau/hbar = 1e300 times a gap of 1e10, or a gap of 2e308 itself,
+    # overflows a double: the log-modulus comes from the exponents instead
+    value, truth = _OVERFLOWING_PHASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(value())
+    with mpmath.workdps(40):
+        want = float(truth())
+    # 1e-13 relative, or two subnormal ulps where that is finer than a ulp
+    assert abs(got - want) <= max(1e-13 * abs(want), 1e-323)
+
+
+def test_the_report_of_an_overflowing_gap_keeps_n0_and_its_lifetime():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decoherence_report(_HUGE_GAP, [0, 1])
+    assert rep.moduli[0, 0] == 0.5
+    assert rep.energy_gaps.tolist() == [-math.inf]
+    with mpmath.workdps(40):
+        want = float(1 / _mp_log_modulus(mpmath.mpf(-1e308) - mpmath.mpf(1e308),
+                                         NATURAL))
+    assert rep.lifetimes[0] == pytest.approx(want, rel=1e-15)
+
 # ---------------------------------------------------------------------------
 # transform equivalence
 
