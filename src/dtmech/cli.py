@@ -25,9 +25,13 @@ transforms only; they derive an independent generator per step count from
 for byte.  Metadata (timestamp and friends) lives only in the ``#``
 preamble / ``meta`` key and never touches payload bytes.
 
-Configuration files: ``--config FILE`` loads a JSON object whose keys are
-flag names (dashes or underscores); explicit command-line flags override
-file values, which override built-in defaults.
+Configuration files: ``--config FILE`` holds a JSON object keyed by the
+command's flag names (dashes or underscores).  Each entry joins the command
+line as a ``--flag=value`` token ahead of the given flags, which therefore
+win, and passes the flag's own checks.  A switch (``--no-fit``) takes
+``true`` or ``false``, a repeatable flag (``--delta-e``) a string, a number
+or a list of them (its items come first), and any other flag one string or
+number; another value or an unknown key is a configuration error.
 
 Units: with ``--preset si-planck``, energies require an explicit suffix
 (``meV``, ``eV``, ``J``) and time horizons require ``s`` or ``yr`` — bare
@@ -38,6 +42,7 @@ inputs are bare numbers and unit suffixes are rejected instead.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -90,7 +95,7 @@ def _parse_quantity(text: str, what: str, si: bool) -> float:
     """``what`` ("energy" or "time"): a bare number in natural units, a
     number with a suffix from its :data:`_UNITS` table in SI; refused if it
     overflows a double, as written or once scaled by its unit."""
-    m = _NUMBER_UNIT.match(str(text))
+    m = _NUMBER_UNIT.match(text)
     if not m:
         raise ConfigError(f"cannot parse {what} {text!r}")
     value, unit = float(m.group(1)), m.group(2)
@@ -112,16 +117,9 @@ def _parse_quantity(text: str, what: str, si: bool) -> float:
     return value
 
 
-def _need(args, dest: str, flag: str):
-    value = getattr(args, dest)
-    if value is None:
-        raise ConfigError(f"{flag} is required")
-    return value
-
-
 def _float_list(text: str, flag: str) -> np.ndarray:
     try:
-        values = [float(part) for part in str(text).split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"{flag}: expected comma-separated numbers, "
                           f"got {text!r}") from None
@@ -131,27 +129,20 @@ def _float_list(text: str, flag: str) -> np.ndarray:
 
 
 def _step_list(args) -> list[int]:
-    """Resolve --n / --n-range into an explicit list of step counts."""
-    if args.n is not None and args.n_range is not None:
-        raise ConfigError("give either --n or --n-range, not both")
+    """The step counts of --n or --n-range (argparse requires exactly one)."""
     if args.n is not None:
-        return [int(args.n)]
-    if args.n_range is not None:
-        m = re.fullmatch(r"\s*(\d+)\s*:\s*(\d+)\s*", str(args.n_range))
-        if not m:
-            raise ConfigError(f"bad --n-range {args.n_range!r}; expected LO:HI")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            raise ConfigError(f"empty --n-range {args.n_range!r}")
-        return list(range(lo, hi + 1))
-    raise ConfigError("one of --n / --n-range is required")
+        return [args.n]
+    m = re.fullmatch(r"\s*(\d+)\s*:\s*(\d+)\s*", args.n_range)
+    if not m:
+        raise ConfigError(f"bad --n-range {args.n_range!r}; expected LO:HI")
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if hi < lo:
+        raise ConfigError(f"empty --n-range {args.n_range!r}")
+    return list(range(lo, hi + 1))
 
 
 def _constants(args):
-    name = getattr(args, "preset", "natural")
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}")
-    return _PRESETS[name], name == "si-planck"
+    return _PRESETS[args.preset], args.preset == "si-planck"
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +174,11 @@ def _read_table(path: str):
 
 
 def _build_signal(args):
-    kind = _need(args, "signal", "--signal")
+    kind = args.signal
+    if kind == "table":
+        if args.table is None:
+            raise ConfigError("--table is required with --signal table")
+        return _read_table(args.table)
     if kind == "const":
         return constant_signal(args.value)
     if kind == "poly":
@@ -192,11 +187,7 @@ def _build_signal(args):
         return cosine_signal(args.omega)
     if kind == "cexp":
         return complex_exponential_signal(args.omega)
-    if kind == "exp":
-        return exponential_signal(args.rate, args.value)
-    if kind == "table":
-        return _read_table(_need(args, "table", "--table"))
-    raise ConfigError(f"unknown signal {kind!r}")
+    return exponential_signal(args.rate, args.value)  # "exp", the last choice
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +233,32 @@ def _cmd_transform(args):
 
 
 def _cmd_classical(args):
-    positions = _float_list(_need(args, "x", "--x"), "--x")
-    momenta = _float_list(_need(args, "p", "--p"), "--p")
+    positions = _float_list(args.x, "--x")
+    momenta = _float_list(args.p, "--p")
     if args.mass is None:
         masses = np.ones(positions.size)
     else:
         masses = _float_list(args.mass, "--mass")
     state = PhaseState(positions, momenta, masses)
-    last = int(_need(args, "n", "--n"))
-    kern = GammaKernel(max(1, last), args.tau)
+    kern = GammaKernel(max(1, args.n), args.tau)
 
     if args.model == "free":
         if args.route == "closed":
-            report = free_particle_moments(state, kern, steps=last)
+            report = free_particle_moments(state, kern, steps=args.n)
         else:
             report = quadrature_moments(FreeParticle(), state, kern,
-                                        steps=last)
+                                        steps=args.n)
     else:
         if args.route == "closed":
             report = sho_moments_scaled(state, kern, omega=args.omega,
-                                        steps=last)
+                                        steps=args.n)
         else:
             if args.omega != 1.0:
                 raise ConfigError("the quadrature route supports omega = 1 "
                                   "only; use --route closed for scaled "
                                   "oscillators")
             report = quadrature_moments(HarmonicOscillator(), state, kern,
-                                        steps=last)
+                                        steps=args.n)
 
     columns = ["n", "i", "j", "moment", "value"]
     rows = list(report.rows())
@@ -305,15 +295,9 @@ def _density_document(dm: DensityMatrix) -> dict:
             "im": dm.coeffs.imag}
 
 
-def _gaps(args, si: bool) -> list[float]:
-    if not args.delta_e:
-        raise ConfigError("--delta-e is required (repeat for several gaps)")
-    return [_parse_quantity(text, "energy", si) for text in args.delta_e]
-
-
 def _cmd_quantum_td(args):
     consts, si = _constants(args)
-    gaps = _gaps(args, si)
+    gaps = [_parse_quantity(text, "energy", si) for text in args.delta_e]
     horizon_text = args.horizon
     if si:
         # SI always compares against a horizon, by default the 1e10 years
@@ -339,15 +323,15 @@ def _cmd_quantum_td(args):
 
 def _cmd_quantum_evolve(args):
     consts, _ = _constants(args)
-    dm = _read_density(_need(args, "state", "--state"), args.repair)
-    evolved = evolve_density(dm, _need(args, "n", "--n"), consts)
+    dm = _read_density(args.state, args.repair)
+    evolved = evolve_density(dm, args.n, consts)
     extra = {"dim": evolved.dim, "purity": evolved.purity()}
     return {"document": _density_document(evolved)}, extra
 
 
 def _cmd_quantum_equivalence(args):
     consts, _ = _constants(args)
-    dm = _read_density(_need(args, "state", "--state"), args.repair)
+    dm = _read_density(args.state, args.repair)
     rows = [[n, gamma_equivalence_check(dm, n, consts)]
             for n in _step_list(args)]
     return ({"columns": ["n", "max_deviation"], "rows": rows},
@@ -356,7 +340,7 @@ def _cmd_quantum_equivalence(args):
 
 def _cmd_quantum_defect(args):
     consts, si = _constants(args)
-    gaps = _gaps(args, si)
+    gaps = [_parse_quantity(text, "energy", si) for text in args.delta_e]
     rows = [[n, gap, float(schroedinger_defect(n, gap, consts))]
             for gap in gaps for n in _step_list(args)]
     return {"columns": ["n", "delta_e", "defect"], "rows": rows}, {}
@@ -369,8 +353,8 @@ def _fit_meta(est) -> dict:
 
 
 def _cmd_chaos_ct(args):
-    model = SensitivityModel(_need(args, "a", "--a"), args.c)
-    t_max = _positive("--t-max", _need(args, "t_max", "--t-max"))
+    model = SensitivityModel(args.a, args.c)
+    t_max = _positive("--t-max", args.t_max)
     grid = np.linspace(0.0, t_max, args.grid)
     distances = ct_distance(model, grid)
     extra = {}
@@ -386,9 +370,8 @@ def _cmd_chaos_ct(args):
 
 
 def _cmd_chaos_dt(args):
-    model = SensitivityModel(_need(args, "a", "--a"), args.c)
-    tau = _need(args, "tau", "--tau")
-    n_max = int(_need(args, "n_max", "--n-max"))
+    model = SensitivityModel(args.a, args.c)
+    tau, n_max = args.tau, args.n_max
     if n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
     steps = np.arange(1, n_max + 1)
@@ -410,7 +393,7 @@ def _cmd_chaos_dt(args):
 
 def _cmd_alpha_scan(args):
     alphas = _float_list(args.alphas, "--alphas")
-    n_max = int(_need(args, "n_max", "--n-max"))
+    n_max = args.n_max
     if n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {n_max}")
     rows = []
@@ -427,23 +410,24 @@ def _cmd_alpha_scan(args):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly and config-file merging
+# parser assembly and config files
 
 
 def _add_step_flags(parser):
-    parser.add_argument("--n", type=int, default=None,
-                        help="single step count")
-    parser.add_argument("--n-range", metavar="LO:HI", default=None,
-                        help="inclusive range of step counts")
+    steps = parser.add_mutually_exclusive_group(required=True)
+    steps.add_argument("--n", type=int, default=None,
+                       help="single step count")
+    steps.add_argument("--n-range", metavar="LO:HI", default=None,
+                       help="inclusive range of step counts")
 
 
 def _common_parent() -> _Parser:
     """Fresh shared-flag parent per subcommand.
 
     argparse ``parents`` shares the underlying action objects, so a single
-    parent instance would let one subcommand's ``set_defaults`` (or a config
-    file applied to it) leak defaults into every other subcommand.  Each
-    leaf therefore gets its own copy.
+    parent instance would let one subcommand's ``set_defaults`` (such as
+    ``quantum evolve``'s ``format="json"``) leak defaults into every other
+    subcommand.  Each leaf therefore gets its own copy.
     """
     p = _Parser(add_help=False)
     p.add_argument("--output", metavar="PATH", default=None,
@@ -456,7 +440,7 @@ def _common_parent() -> _Parser:
                    help="worker threads for Monte Carlo transforms (default: "
                         "DTMECH_THREADS or 1); payloads do not depend on it")
     p.add_argument("--config", metavar="PATH", default=None,
-                   help="JSON object of flag defaults; flags override")
+                   help="JSON object of flag values; flags override")
     return p
 
 
@@ -479,7 +463,7 @@ def build_parser() -> tuple[_Parser, list]:
     t = subs.add_parser("transform", parents=[_common_parent()],
                         help="smear a time signal over internal time")
     t.add_argument("--signal", choices=("const", "poly", "cos", "cexp",
-                                        "exp", "table"), default=None,
+                                        "exp", "table"), required=True,
                    help="signal family")
     t.add_argument("--value", type=float, default=1.0,
                    help="amplitude for const/exp (default 1)")
@@ -509,13 +493,13 @@ def build_parser() -> tuple[_Parser, list]:
     c.add_argument("--model", choices=("free", "oscillator"), default="free")
     c.add_argument("--route", choices=("closed", "quadrature"),
                    default="closed")
-    c.add_argument("--x", default=None, help="comma-separated positions")
-    c.add_argument("--p", default=None, help="comma-separated momenta")
+    c.add_argument("--x", required=True, help="comma-separated positions")
+    c.add_argument("--p", required=True, help="comma-separated momenta")
     c.add_argument("--mass", default=None,
                    help="comma-separated masses (default all 1)")
     c.add_argument("--omega", type=float, default=1.0,
                    help="common oscillator frequency (default 1)")
-    c.add_argument("--n", type=int, default=None,
+    c.add_argument("--n", type=int, required=True,
                    help="report steps 0..n")
     c.add_argument("--tau", type=float, default=1.0)
     c.set_defaults(handler=_cmd_classical, command_path="classical")
@@ -527,6 +511,7 @@ def build_parser() -> tuple[_Parser, list]:
     td = qsubs.add_parser("td", parents=[_common_parent(), _preset_parent()],
                           help="decoherence times for energy gaps")
     td.add_argument("--delta-e", action="append", metavar="ENERGY",
+                    required=True,
                     help="energy gap; repeatable; needs meV/eV/J in SI mode")
     td.add_argument("--horizon", metavar="TIME", default=None,
                     help="custom comparison horizon (s/yr in SI mode); "
@@ -536,9 +521,9 @@ def build_parser() -> tuple[_Parser, list]:
 
     ev = qsubs.add_parser("evolve", parents=[_common_parent(), _preset_parent()],
                           help="evolve a density matrix n steps")
-    ev.add_argument("--state", metavar="PATH", default=None,
+    ev.add_argument("--state", metavar="PATH", required=True,
                     help="JSON file: energies[], re[][], im[][]")
-    ev.add_argument("--n", type=int, default=None, help="step count")
+    ev.add_argument("--n", type=int, required=True, help="step count")
     ev.add_argument("--repair", action="store_true",
                     help="project an almost-valid state instead of rejecting")
     ev.set_defaults(handler=_cmd_quantum_evolve, command_path="quantum evolve",
@@ -547,7 +532,7 @@ def build_parser() -> tuple[_Parser, list]:
 
     eq = qsubs.add_parser("equivalence", parents=[_common_parent(), _preset_parent()],
                           help="discrete vs smeared-continuous agreement")
-    eq.add_argument("--state", metavar="PATH", default=None)
+    eq.add_argument("--state", metavar="PATH", required=True)
     eq.add_argument("--repair", action="store_true")
     _add_step_flags(eq)
     eq.set_defaults(handler=_cmd_quantum_equivalence,
@@ -556,7 +541,8 @@ def build_parser() -> tuple[_Parser, list]:
 
     df = qsubs.add_parser("defect", parents=[_common_parent(), _preset_parent()],
                           help="per-step deviation from unitary evolution")
-    df.add_argument("--delta-e", action="append", metavar="ENERGY")
+    df.add_argument("--delta-e", action="append", metavar="ENERGY",
+                    required=True)
     _add_step_flags(df)
     df.set_defaults(handler=_cmd_quantum_defect,
                     command_path="quantum defect")
@@ -567,10 +553,10 @@ def build_parser() -> tuple[_Parser, list]:
 
     ct = chsubs.add_parser("ct", parents=[_common_parent()],
                            help="continuous-time sensitivity curve and fit")
-    ct.add_argument("--a", type=float, default=None,
+    ct.add_argument("--a", type=float, required=True,
                     help="map parameter in (-1, 1)")
     ct.add_argument("--c", type=float, default=1.0, help="growth rate")
-    ct.add_argument("--t-max", type=float, default=None)
+    ct.add_argument("--t-max", type=float, required=True)
     ct.add_argument("--grid", type=int, default=400,
                     help="output samples (default 400); the fit takes "
                          "its own 1200 over the late half")
@@ -581,10 +567,10 @@ def build_parser() -> tuple[_Parser, list]:
 
     dt = chsubs.add_parser("dt", parents=[_common_parent()],
                            help="discrete-time sensitivity curve and fit")
-    dt.add_argument("--a", type=float, default=None)
+    dt.add_argument("--a", type=float, required=True)
     dt.add_argument("--c", type=float, default=1.0)
-    dt.add_argument("--tau", type=float, default=None)
-    dt.add_argument("--n-max", type=int, default=None)
+    dt.add_argument("--tau", type=float, required=True)
+    dt.add_argument("--n-max", type=int, required=True)
     dt.add_argument("--no-fit", action="store_true")
     dt.set_defaults(handler=_cmd_chaos_dt, command_path="chaos dt")
     leaves.append(dt)
@@ -607,38 +593,53 @@ def build_parser() -> tuple[_Parser, list]:
     return parser, leaves
 
 
-def _config_file_defaults(argv: list[str]) -> dict:
-    """Pre-scan for --config and load its JSON object, if any."""
+def _with_config(argv: list[str], leaves: list) -> list[str]:
+    """``argv`` with the ``--config`` file's entries as ``--flag=value``
+    tokens (so ``"-0.5,0.2"`` is not read as a flag) right after the command
+    words, where the command line's own flags override them."""
     path = None
-    for i, token in enumerate(argv):
+    for token, following in zip(argv, argv[1:] + [None]):
         if token == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file path")
-            path = argv[i + 1]
+            path = following
         elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+            path = token.partition("=")[2]
     if path is None:
-        return {}
+        return argv
+    words = list(itertools.takewhile(lambda t: not t.startswith("-"), argv))
+    for leaf in leaves:
+        command = leaf.get_default("command_path").split()
+        if words[:len(command)] == command:
+            break
+    else:
+        return argv  # argparse names the missing or unknown command
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in doc.items()}
-
-
-def _apply_file_defaults(leaves: list, defaults: dict) -> None:
-    """Install config-file values as parser defaults (flags still win)."""
-    known = set()
-    for leaf in leaves:
-        known.update(action.dest for action in leaf._actions)
-    unknown = sorted(set(defaults) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for leaf in leaves:
-        dests = {action.dest for action in leaf._actions}
-        relevant = {k: v for k, v in defaults.items() if k in dests}
-        if relevant:
-            leaf.set_defaults(**relevant)
+    actions = {action.dest: action for action in leaf._actions
+               if action.dest not in ("help", "config")}
+    tokens = []
+    for key, value in doc.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r} for "
+                              f"{' '.join(command)}")
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch
+            rule, valid = "true or false", isinstance(value, bool)
+            items = [flag] * (value is True)
+        else:
+            repeatable = isinstance(action, argparse._AppendAction)
+            rule = ("a string, a number or a list of them" if repeatable
+                    else "one string or number")
+            values = value if repeatable and isinstance(value, list) else [value]
+            valid = all(type(v) in (str, int, float) for v in values)  # no bool
+            items = [f"{flag}={v}" for v in values]
+        if not valid:
+            raise ConfigError(f"config {key!r}: {flag} takes {rule}, "
+                              f"got {json.dumps(value)}")
+        tokens += items
+    return argv[:len(command)] + tokens + argv[len(command):]
 
 
 _META_EXCLUDED = {"handler", "command_path", "command", "action", "output",
@@ -646,11 +647,8 @@ _META_EXCLUDED = {"handler", "command_path", "command", "action", "output",
 
 
 def _run(argv: list[str]) -> int:
-    defaults = _config_file_defaults(argv)
     parser, leaves = build_parser()
-    if defaults:
-        _apply_file_defaults(leaves, defaults)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_with_config(argv, leaves))
     threads = resolve_thread_count(args.threads)
 
     payload, extra = args.handler(args)

@@ -13,6 +13,7 @@ that obstruction is exposed as a phase-consistency defect.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -47,8 +48,10 @@ LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Action scale and time quantum, each finite and > 0, as is their ratio
-    ``tau/hbar``; see :data:`NATURAL` / :data:`SI_PLANCK`."""
+    """Action scale and time quantum, each finite and > 0; their ratio
+    ``tau/hbar`` must be a normal double (at least ``sys.float_info.min``),
+    since a subnormal one carries too few digits into every phase; see
+    :data:`NATURAL` / :data:`SI_PLANCK`."""
 
     hbar: float
     tau: float
@@ -56,7 +59,10 @@ class PhysicalConstants:
     def __post_init__(self):
         for name in ("hbar", "tau"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
-        _positive("tau/hbar", self.tau / self.hbar)
+        ratio = _positive("tau/hbar", self.tau / self.hbar)
+        if ratio < sys.float_info.min:
+            raise ValueError(f"tau/hbar = {ratio!r} is subnormal (below "
+                             f"{sys.float_info.min!r}), so digits are lost")
 
     def phase_scale(self, delta_e) -> np.ndarray | float:
         """Dimensionless per-step phase tau * delta_e / hbar."""

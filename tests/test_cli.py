@@ -1,6 +1,10 @@
 """Command-line interface: formats, exit codes, determinism, config merging."""
 
+import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -10,6 +14,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtmech import (FreeParticle, GammaKernel, HarmonicOscillator, PhaseState,
                     SensitivityModel, cli, dt_lyapunov, free_particle_moments,
@@ -148,7 +153,7 @@ def test_missing_signal_is_config_error(capsys):
     ["transform", "--signal", "cos", "--n", "1", "--bogus", "3"],
     # removed settings: doubling always starts at 32 nodes, and the
     # continuous fit always takes 1200 samples
-    ["transform", "--nodes", "8"],
+    ["transform", "--signal", "cos", "--n", "1", "--nodes", "8"],
     ["chaos", "ct", "--a", "0.5", "--t-max", "14", "--fit-samples", "100"],
 ], ids=" ".join)
 def test_unknown_flag_exits_2(capsys, argv):
@@ -382,6 +387,186 @@ def test_missing_config_file_exits_2(capsys):
     code, _ = run_cli(["transform", "--config", "/nonexistent/cfg.json",
                        "--signal", "cos", "--n", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg, argv, flags", [
+    # refused (flags None): each once bypassed argparse's type, choice or
+    # action, with a traceback, a silent truncation or an ignored value
+    ("transform", {"signal": "cos", "n": 3, "tau": [1]}, [], None),
+    ("transform", {"signal": "cos", "n": [3]}, [], None),
+    ("transform", {"signal": "cos", "n": 3, "tau": None}, [], None),
+    ("chaos ct", {"a": 0.5, "t_max": 14, "grid": 2.5}, [], None),
+    ("transform", {"signal": "cos", "n": 3, "method": "bogus"}, [], None),
+    ("transform", {"signal": "cos", "n": 3, "format": "xml"}, [], None),
+    ("transform", {"signal": "cos", "n": 2.5}, [], None),
+    ("alpha-scan", {"n_max": 2.5, "alphas": "0.5"}, [], None),
+    ("classical", {"n": 2.5, "x": "1", "p": "0"}, [], None),
+    ("chaos ct", {"a": 0.5, "t_max": 14, "no_fit": "false"}, [], None),
+    ("transform", {"signal": "cos", "n": 3}, ["--n-range", "1:2"], None),
+    # a key of another command, and two that name no value
+    ("transform", {"signal": "cos", "n": 1, "delta_e": "1"}, [], None),
+    ("transform", {"signal": "cos", "n": 1, "help": True}, [], None),
+    ("transform", {"signal": "cos", "n": 1, "config": "c.json"}, [], None),
+    # accepted: the payload of these flags; config items precede the flags'
+    ("quantum td", {"delta_e": "12"}, [], ["--delta-e", "12"]),
+    ("quantum td", {"delta_e": ["5"]}, ["--delta-e", "3"],
+     ["--delta-e", "5", "--delta-e", "3"]),
+    ("classical", {"x": "-0.5,0.2", "p": "0,1", "n": 1}, [],
+     ["--x=-0.5,0.2", "--p", "0,1", "--n", "1"]),
+], ids=lambda v: json.dumps(v) if isinstance(v, (dict, list)) else None)
+def test_config_values_parse_as_flags(tmp_path, capsys, command, cfg, argv,
+                                      flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, text = run_cli(command.split() + ["--config", str(path)] + argv,
+                         tmp_path, "cfg.csv")
+    err = capsys.readouterr().err
+    if flags is None:
+        assert (code, text) == (2, None)
+        assert err.count("\n") == 1 and err.startswith("ConfigError: ")
+    else:
+        assert (code, err) == (0, "")
+        _, want = run_cli(command.split() + flags, tmp_path, "flags.csv")
+        assert csv_payload(text) == csv_payload(want)
+
+
+# One (key, value) drawn on a valid argv of each command: a value of the
+# flag's JSON type gives the same outcome as the flag itself, and any other
+# value one ConfigError line.  Counts that allocate or spawn stay small.
+_BASE = {
+    "transform": ["--signal", "cos", "--n", "2", "--tau", "0.5",
+                  "--samples", "200", "--seed", "1"],
+    "classical": ["--x", "1", "--p", "0", "--n", "2"],
+    "quantum td": ["--delta-e", "0.5"],
+    "quantum evolve": ["--state", "{rho}", "--n", "3"],
+    "quantum equivalence": ["--state", "{rho}", "--n", "2"],
+    "quantum defect": ["--delta-e", "0.5", "--n", "2"],
+    "chaos ct": ["--a", "0.5", "--t-max", "12", "--grid", "20"],
+    "chaos dt": ["--a", "0.5", "--tau", "0.5", "--n-max", "20"],
+    "alpha-scan": ["--alphas", "0,0.5", "--n-max", "2", "--points", "256",
+                   "--length", "8", "--sigma", "0.2"],
+}
+_COUNTS = {"n": 60, "n_max": 60, "samples": 10**4, "points": 2**12,
+           "grid": 10**3}
+_SPECIAL = st.sampled_from([0, 0.0, -0.0, 5e-324, 1e300, -1e300, math.inf,
+                            -math.inf, math.nan])
+_NUMBERS = st.one_of(st.floats(-2, 2), st.integers(-3, 60), _SPECIAL,
+                     st.floats(), st.integers(-10**6, 10**6))
+_WRONG = st.one_of(st.none(), st.booleans(), st.lists(st.integers(),
+                                                      max_size=2),
+                   st.dictionaries(st.text(max_size=2), st.integers(),
+                                   max_size=1))
+
+
+def _scalar(action):
+    """A string or JSON number for one value of ``action``."""
+    dest = action.dest
+    if dest in _COUNTS or dest == "threads":
+        ints = (st.sampled_from([-1, 0, 1, 2]) if dest == "threads"
+                else st.integers(-2, _COUNTS[dest]))
+        # a float never reads as an int, so it allocates nothing
+        return st.one_of(ints, ints.map(str), _SPECIAL, st.floats(),
+                         st.sampled_from(["", "2.5", "1e3", "x"]))
+    if dest == "n_range":
+        bound = st.integers(0, _COUNTS["n"])
+        return st.one_of(st.tuples(bound, bound).map("{0[0]}:{0[1]}".format),
+                         _NUMBERS, st.text(max_size=4))
+    if dest in ("alphas", "x", "p", "mass"):
+        return st.one_of(st.lists(st.one_of(_SPECIAL, st.floats(-2, 2)),
+                                  max_size=3).map(lambda v: ",".join(map(str, v))),
+                         _NUMBERS, st.text(max_size=4))
+    if action.choices:
+        return st.one_of(st.sampled_from(list(action.choices)),
+                         st.text(max_size=4))
+    return st.one_of(_NUMBERS, _NUMBERS.map(str), st.text(max_size=8))
+
+
+def _pair(leaf):
+    """(key as written, action, value, valid) for one option of ``leaf``."""
+    actions = [a for a in leaf._actions
+               if a.dest not in ("help", "config", "output")]
+
+    def values(action):
+        if action.nargs == 0:  # a switch: true or false
+            good = st.booleans()
+            wrong = st.one_of(_NUMBERS, st.text(max_size=4), st.none(),
+                              st.lists(st.booleans(), max_size=1))
+        elif isinstance(action, argparse._AppendAction):
+            good = st.one_of(_scalar(action),
+                             st.lists(_scalar(action), max_size=3))
+            wrong = st.one_of(st.none(), st.booleans(),
+                              st.lists(st.none(), min_size=1, max_size=2))
+        else:
+            good, wrong = _scalar(action), _WRONG
+        return st.one_of(good.map(lambda v: (v, True)),
+                         wrong.map(lambda v: (v, False)))
+
+    return st.sampled_from(actions).flatmap(
+        lambda a: st.tuples(st.sampled_from([a.dest, a.dest.replace("_", "-")]),
+                            st.just(a), values(a)))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config")
+    (root / "rho.json").write_text(json.dumps(
+        {"energies": [0.0, 1.0], "re": [[0.5, 0.5], [0.5, 0.5]],
+         "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    return root
+
+
+def _invoke(argv):
+    """``main(argv)`` with warnings as errors: (exit, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _payload(text):
+    if text.startswith("{"):
+        return json.dumps(json.loads(text)["data"])
+    return csv_payload(text)
+
+
+@pytest.mark.parametrize("command", sorted(_BASE))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_config_entry_equals_its_flag(config_dir, command, data):
+    leaf = next(leaf for leaf in cli.build_parser()[1]
+                if leaf.get_default("command_path") == command)
+    key, action, (value, valid) = data.draw(_pair(leaf))
+    steps = {"n", "n_range"}  # one group: the drawn one replaces either
+    dropped = steps if action.dest in steps else {action.dest}
+    base = []
+    for flag, arg in zip(_BASE[command][::2], _BASE[command][1::2]):
+        if flag.lstrip("-").replace("-", "_") not in dropped:
+            base += [flag, arg.format(rho=config_dir / "rho.json")]
+    words = command.split()
+    cfg = config_dir / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    by_config = _invoke(words + base + ["--config", str(cfg)])
+    if not valid:
+        assert by_config[0] == 2
+        assert by_config[2].startswith("ConfigError: ")
+        return
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        tokens = [flag] if value else []
+    else:
+        items = value if isinstance(value, list) else [value]
+        tokens = [f"{flag}={item}" for item in items]
+    by_flag = _invoke(words + base + tokens)
+    assert by_config[0] == by_flag[0] and by_config[2] == by_flag[2]
+    if by_flag[0] == 0:
+        assert _payload(by_config[1]) == _payload(by_flag[1])
+    else:
+        assert by_config[1] == by_flag[1] == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -73,6 +74,10 @@ def test_constants_presets():
         PhysicalConstants(hbar=0.0, tau=1.0)
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=1.0, tau=-1.0)
+    # a subnormal ratio (1e-315 here) would lose digits in every phase
+    with pytest.raises(ValueError, match="subnormal"):
+        PhysicalConstants(hbar=1e300, tau=1e-15)
+    assert PhysicalConstants(hbar=1.0, tau=sys.float_info.min).tau > 0
 
 
 # ---------------------------------------------------------------------------
