@@ -17,6 +17,8 @@ FIRST_PANELS = 8
 MAX_PANELS = 1024
 
 EPS = float(np.finfo(float).eps)
+#: log of the largest double: e^x overflows past it
+LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
 
 
 def pairwise_sum(values):
@@ -81,7 +83,8 @@ def refine(estimate, size: int, limit: int, rel: float, floor: float = 0.0):
     the sums, and a bound on what the rule leaves out.  A column is kept, as
     a scalar run would keep it, at the first doubling where its spread
     against the size before plus that part is at most
-    ``max(rel |value|, floor)``: that sum is its error.  It is given up once
+    ``max(rel |value|, floor)``: that sum is its error, which must be finite,
+    so an overflowing column is never kept.  It is given up once
     the spread is below that part and the part alone exceeds the target.
     Returns values, errors, the size each column was kept at (0 where none
     was; value and error are then the last ones) and the last size tried.
@@ -94,12 +97,13 @@ def refine(estimate, size: int, limit: int, rel: float, floor: float = 0.0):
     while size < limit and open_.any():
         size *= 2
         cur, fixed = estimate(size)
-        spread = modulus(cur - prev)
-        err = spread + fixed
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = modulus(cur - prev)
+            err = spread + fixed
         target = np.maximum(rel * modulus(cur), floor)
         np.copyto(value, cur, where=open_)
         np.copyto(error, err, where=open_)
-        accept = open_ & (err <= target)
+        accept = open_ & np.isfinite(err) & (err <= target)
         kept[accept] = size
         open_ &= ~accept
         if np.any(fixed):

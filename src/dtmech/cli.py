@@ -57,11 +57,11 @@ from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         sho_moments_scaled)
 from .errors import NumericalError
 from .kernel import (GammaKernel, QuadratureRule, StepScheme, _positive,
-                     advection_negativity_probe, complex_exponential_signal,
-                     constant_signal, cosine_signal, exponential_signal,
-                     monomial_signal, scheme_delta_coefficient,
-                     tabulated_signal, transform_monte_carlo,
-                     transform_quadrature)
+                     _step_count, advection_negativity_probe,
+                     complex_exponential_signal, constant_signal,
+                     cosine_signal, exponential_signal, monomial_signal,
+                     scheme_delta_coefficient, tabulated_signal,
+                     transform_monte_carlo, transform_quadrature)
 from .nonlinear import (SensitivityModel, _dt_window_fit, ct_distance,
                         ct_lyapunov, dt_sensitivity)
 from .quantum import (ELECTRON_VOLT, NATURAL, SECONDS_PER_YEAR, SI_PLANCK,
@@ -76,7 +76,12 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser that reports usage problems as ConfigError (one line, exit 2)."""
+    """Parser that reports usage problems as ConfigError (one line, exit 2).
+    Long flags must be spelled out: an abbreviation such as ``--conf`` for
+    ``--config`` is refused, never read as the flag it abbreviates."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -371,9 +376,7 @@ def _cmd_chaos_ct(args):
 
 def _cmd_chaos_dt(args):
     model = SensitivityModel(args.a, args.c)
-    tau, n_max = args.tau, args.n_max
-    if n_max < 1:
-        raise ConfigError(f"--n-max must be >= 1, got {n_max}")
+    tau, n_max = args.tau, _step_count(args.n_max, 1, "--n-max")
     steps = np.arange(1, n_max + 1)
     sens = [dt_sensitivity(model, GammaKernel(int(n), tau)) for n in steps]
     distances = [abs(r.value) for r in sens]
@@ -393,9 +396,7 @@ def _cmd_chaos_dt(args):
 
 def _cmd_alpha_scan(args):
     alphas = _float_list(args.alphas, "--alphas")
-    n_max = args.n_max
-    if n_max < 1:
-        raise ConfigError(f"--n-max must be >= 1, got {n_max}")
+    n_max = _step_count(args.n_max, 1, "--n-max")
     rows = []
     for alpha in alphas:
         scheme = StepScheme(alpha)

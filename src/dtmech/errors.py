@@ -12,9 +12,9 @@ class NumericalError(Exception):
 class DivergentTransform(NumericalError):
     """The smearing integral does not converge for the requested signal.
 
-    Raised when a growth per step g*tau is not below 1 (for a Monte Carlo
-    variance, 2 g*tau), or when the undeclared-growth screening probe finds
-    the integrand (|F|^2 for Monte Carlo) still growing past the weight's bulk.
+    Raised when a declared growth per step g*tau is not below 1, on either
+    route, or when the undeclared-growth screening probe finds the integrand
+    (|F|^2 for Monte Carlo) still growing past the weight's bulk.
     """
 
 

@@ -30,9 +30,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import (EPS, FIRST_PANELS, MAX_PANELS, PANEL_NODES, as_rows,
-                    legendre_panels, modulus, pairwise_dot, pairwise_sum,
-                    refine)
+from ._util import (EPS, FIRST_PANELS, LOG_MAX_DOUBLE, MAX_PANELS,
+                    PANEL_NODES, as_rows, legendre_panels, modulus,
+                    pairwise_dot, pairwise_sum, refine)
 from .errors import (
     BackwardOnly,
     DivergentTransform,
@@ -191,10 +191,14 @@ class TimeSignal:
     or ``(m, k)`` for ``k`` observables transformed in one quadrature pass;
     complex values give complex results.
     ``growth_rate`` is an optional declared exponential growth bound g with
-    ``|F(t)| <= C * exp(g t)``, a finite number; when present, convergence is
-    decided from ``g * tau < 1`` directly and the screening probe is skipped.
-    Signals without a declared bound are screened numerically far beyond the
-    weight's bulk before any transform is attempted.
+    ``|F(t)| <= C * exp(g t)``, a finite number, kept as a float; when
+    present, convergence is decided from ``g * tau < 1`` directly and the
+    screening probe is skipped, and a rate ``g > 0`` is tilted into the
+    weight on both transform routes: they average the bounded
+    ``exp(-g t) F``, which counts as 0 past ``log(DBL_MAX) / g``, where
+    ``exp(g t)`` overflows.  Signals without a declared bound are screened
+    numerically far beyond the weight's bulk before any transform is
+    attempted.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -203,6 +207,7 @@ class TimeSignal:
     def __post_init__(self):
         if self.growth_rate is not None:
             _require_finite("growth rate", self.growth_rate)
+            object.__setattr__(self, "growth_rate", float(self.growth_rate))
 
 
 def _require_finite(name: str, value) -> None:
@@ -222,8 +227,12 @@ def monomial_signal(degree: int) -> TimeSignal:
     if degree < 0 or int(degree) != degree:
         raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
     k = int(degree)
-    return TimeSignal(lambda t: np.asarray(t, dtype=float) ** k,
-                      growth_rate=0.0)
+
+    def evaluate(t):
+        with np.errstate(over="ignore"):  # inf past the largest double
+            return np.asarray(t, dtype=float) ** k
+
+    return TimeSignal(evaluate, growth_rate=0.0)
 
 
 def cosine_signal(omega: float = 1.0) -> TimeSignal:
@@ -365,31 +374,24 @@ class MonteCarloEstimate(NamedTuple):
 def screening_horizon(kernel: GammaKernel) -> float:
     """``tau U(n)``, ``U(n) = 2 (n + 10 sqrt(n) + 50) + 1``: the end of the
     screening's far window, where the weight is spent, and the latest time
-    any transform at ``kernel`` evaluates its signal.  A declared growth
-    rate ``g > 0`` moves that time to the horizon of the quantum
-    ``tau / (1 - g tau)``, at which :func:`transform_quadrature` works."""
+    a quadrature transform at ``kernel`` evaluates its signal.  A declared
+    growth rate ``g > 0`` moves that time to the horizon of the quantum
+    ``tau / (1 - g tau)``, at which both transform routes work (Monte Carlo
+    draws its internal times there too)."""
     n = kernel.n
     return kernel.tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
 
 
 def _screen_convergence(signal: TimeSignal, kernel: GammaKernel,
-                        what: str = "the smearing integral",
-                        power: int = 1) -> float | None:
-    """Reject signals for which ``what``, the smearing integral of
-    ``|F|^power``, cannot converge.
+                        what: str, power: int) -> None:
+    """Reject a signal without a declared growth rate for which ``what``,
+    the smearing integral of ``|F|^power``, cannot converge.
 
-    A declared growth rate g decides through :func:`_growth` at the growth
-    ``power g`` (marginal growth is rejected), whose ``1 - power g tau`` is
-    returned.  Without one the integrand's log-magnitude is probed at
-    ``u* = n + 10 sqrt(n) + 50`` and at twice that; if the far window still
-    dominates, the tail is growing and the transform is refused as suspected
-    divergence.  A signal with several columns is refused if any one of
-    them grows.
+    The integrand's log-magnitude is probed at ``u* = n + 10 sqrt(n) + 50``
+    and at twice that; if the far window still dominates, the tail is
+    growing and the transform is refused as suspected divergence.  A signal
+    with several columns is refused if any one of them grows.
     """
-    if signal.growth_rate is not None:
-        g = power * signal.growth_rate
-        return _growth(g * kernel.tau, f"{what} at growth rate {g} and "
-                       f"tau={kernel.tau}")
     n, tau = kernel.n, kernel.tau
     t_end = screening_horizon(kernel)
     width = tau * np.array([0.0, 0.5, 1.0])
@@ -407,6 +409,64 @@ def _screen_convergence(signal: TimeSignal, kernel: GammaKernel,
             f"at u ~ {t_end / tau:.0f} (n={n}, tau={tau}); suspected divergence")
 
 
+def _tilt(signal: TimeSignal, kernel: GammaKernel,
+          what: str = "the smearing integral", power: int = 1):
+    """Screen ``signal`` at ``kernel`` and tilt a declared growth ``e^{g t}``,
+    ``g > 0``, into the weight: the one change of measure of both routes.
+
+    A declared rate needs ``g tau < 1`` (:func:`_growth`); an undeclared
+    signal goes to the probe of ``|F|^power``.  ``F = e^{g t} H`` smeared at
+    ``tau`` is ``(1 - g tau)^-n`` times the bounded ``H`` smeared at
+    ``tau' = tau / (1 - g tau)``.  ``H`` counts as 0 past ``t_max =
+    log(DBL_MAX) / g``, where ``e^{g t}`` overflows, once the gamma Chernoff
+    bound ``P(U >= x) <= (x/n)^n e^{n - x}`` at ``x = t_max / tau'`` shows
+    that this drops less than eps of the weight.  A larger mass, or a
+    prefactor past the largest double, is refused: ``ValueError``, "leaves
+    the float range".
+
+    Returns ``(evaluate, kernel, prefactor)``: ``H``, the kernel at ``tau'``
+    and a function that scales a value and its error by ``(1 - g tau)^-n``
+    and adds ``4 eps (1 + n / (1 - g tau)) |value|`` to the error: the
+    rounding of ``1 - g tau`` raised to the n-th power, and of ``g t`` at
+    the bulk ``t ~ n tau'``.  Other signals come back unchanged.
+    """
+    g, n, tau = signal.growth_rate, kernel.n, kernel.tau
+    label = f"the smearing integral at growth rate {g} and tau={tau}"
+    if g is None:
+        _screen_convergence(signal, kernel, what, power)
+    else:
+        shrink = _growth(g * tau, label)
+    if g is None or g <= 0.0:
+        return signal.evaluate, kernel, lambda value, error: (value, error)
+    try:
+        factor = shrink ** -float(n)
+    except OverflowError:
+        factor = math.inf
+    z = g * tau
+    # t_max / tau': where the tilted gamma(n) clock reaches the overflow
+    x = LOG_MAX_DOUBLE * shrink / z if z > 0.0 else math.inf
+    if factor == math.inf or not (math.isinf(x) or (
+            x > n and n * math.log(x / n) + n - x < math.log(EPS))):
+        raise ValueError(f"{label} leaves the float range")
+    t_max = LOG_MAX_DOUBLE / g
+    rounding = 4.0 * EPS * (1.0 + n / shrink)
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(signal.evaluate(t))
+            vals = vals * as_rows(np.exp(-g * t), vals)
+        return np.where(as_rows(t <= t_max, vals), vals, 0.0)
+
+    def prefactor(value, error):
+        value = value * factor
+        if not np.isfinite(value).all():
+            raise ValueError(f"{label}: the smeared value leaves the float range")
+        return value, error * factor + rounding * abs(value)
+
+    return evaluate, GammaKernel(n, tau / shrink), prefactor
+
+
 def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
                          rule: QuadratureRule | None = None) -> TransformResult:
     """Smearing integral by generalized Gauss--Laguerre quadrature.
@@ -422,7 +482,7 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     Gauss--Legendre panels on ``u`` in [0, U(n)], the screening window,
     before giving up.
     """
-    shrink = _screen_convergence(signal, kernel)
+    evaluate, kernel, prefactor = _tilt(signal, kernel)
     if rule is None:
         rule = QuadratureRule.for_kernel(kernel)
     elif rule.step_count != kernel.n:
@@ -430,23 +490,6 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
             f"rule was built for step count {rule.step_count}, kernel has {kernel.n}"
         )
     rel = rule.error_target
-    evaluate, g = signal.evaluate, signal.growth_rate
-    tilted = g is not None and g > 0.0
-    if tilted:
-        # absorb the declared exponential growth into the weight:
-        # F = exp(g t) H with H bounded turns the integral into
-        # (1 - g tau)^(-n) times the transform of H at the inflated quantum
-        # tau / (1 - g tau); the effective integrand decays, which keeps
-        # far-node noise from being amplified by exp(+g t)
-        def evaluate(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.asarray(signal.evaluate(t))
-                damp = as_rows(np.exp(-g * t), vals)
-                vals = vals * damp
-            return np.where(damp == 0.0, 0.0, vals)
-
-        kernel = GammaKernel(kernel.n, kernel.tau / shrink)
 
     def laguerre(m):
         nodes, weights = _laguerre_rule(m, kernel.n - 1)
@@ -469,10 +512,7 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
         method = "adaptive"
     if value.ndim == 0:
         value, error = kind(value), float(error)
-    if tilted:
-        prefactor = shrink ** (-float(kernel.n))
-        value, error = value * prefactor, error * prefactor
-    return TransformResult(value, error, int(kept.max()), method)
+    return TransformResult(*prefactor(value, error), int(kept.max()), method)
 
 
 def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):
@@ -542,26 +582,30 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
 
     The estimate is the sample mean of ``F(tau * U_i)`` with
     ``U_i ~ Gamma(n, 1)``; its uncertainty is the standard error of that
-    mean, which needs the transform of ``|F|^2`` (growth 2g) to exist: the
-    divergence screening sees ``|F|^2``, which also bounds the mean.
-    Reductions run through the fixed pairwise tree, so a given seed
-    reproduces the estimate bit for bit.  The estimate is complex when the
-    signal returns complex values; a signal with ``k`` columns gives
-    length-``k`` estimates and standard errors, each its column's own.
+    mean, which needs the transform of ``|F|^2``: the screening checks it
+    for a signal without a declared growth rate.  A declared ``e^{g t}``,
+    ``g > 0``, is tilted as on the quadrature route: draws at the quantum
+    ``tau / (1 - g tau)`` average the bounded ``e^{-g t} F``, so ``g tau <
+    1`` is all it needs.  Reductions run through the fixed pairwise tree, so
+    a given seed reproduces the estimate bit for bit.  The estimate is
+    complex when the signal returns complex values; a signal with ``k``
+    columns gives length-``k`` estimates and standard errors, each its
+    column's own.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
-    _screen_convergence(signal, kernel, "the Monte Carlo variance", power=2)
+    evaluate, kernel, prefactor = _tilt(signal, kernel,
+                                        "the Monte Carlo variance", power=2)
     t = sample_internal_time(kernel, np.random.default_rng(seed), samples)
-    values = np.asarray(signal.evaluate(t))
+    values = np.asarray(evaluate(t))
     mean = pairwise_sum(values) / samples
     resid = values - mean
     var = np.real(pairwise_sum(np.abs(resid) ** 2)) / (samples - 1)
     stderr = np.sqrt(var / samples)
     kind = complex if np.iscomplexobj(values) else float
     if np.ndim(mean) == 0:
-        return MonteCarloEstimate(kind(mean), float(stderr))
-    return MonteCarloEstimate(mean.astype(kind), stderr)
+        return MonteCarloEstimate(*prefactor(kind(mean), float(stderr)))
+    return MonteCarloEstimate(*prefactor(mean.astype(kind), stderr))
 
 
 # ---------------------------------------------------------------------------

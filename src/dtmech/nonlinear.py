@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import EPS, FIRST_PANELS, MAX_PANELS, legendre_panels, refine
+from ._util import (EPS, FIRST_PANELS, LOG_MAX_DOUBLE, MAX_PANELS,
+                    legendre_panels, refine)
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
 from .kernel import GammaKernel, _growth, _positive, _step_count
 
@@ -63,8 +64,6 @@ PHASE_NODE_CUTOFF = 0.05
 CONTOUR_HEIGHTS = (1 / 1024, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
 CHIRP_REL_TARGET = 1e-10
 CONTOUR_END = 12.0
-# log of the largest double: the continuous sensitivity overflows past it
-LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 # sample times of the continuous fit over the late half of [0, t_max]
 CT_FIT_SAMPLES = 1200
 

@@ -258,6 +258,81 @@ def test_divergent_growth_exits_3(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, exact", [
+    # the weight's bulk sits where e^{g t} is inf and e^{-g t} is 0: the
+    # exact 1e100 came back as 0 +- 0
+    (["--rate", "9.9", "--tau", "0.1", "--n", "50"], None),
+    # nodes with g t in (709.8, 745.1] multiplied inf by a subnormal: the
+    # exact 1e50 came back as inf +- inf
+    (["--rate", "9", "--tau", "0.1", "--n", "50"], None),
+    # (1 - g tau)^-n = 1e400 is past the largest double: an OverflowError
+    # traceback
+    (["--rate", "2", "--tau", "0.45", "--n", "400"], None),
+    # 2 g tau = 0.6 < 1, yet the sampled e^{g t} gave 1.70e118 +- 1.69e118
+    (["--rate", "3", "--tau", "0.1", "--n", "800", "--method", "monte-carlo",
+      "--seed", "1"], (1 - mpmath.mpf(3) * mpmath.mpf(0.1)) ** -800),
+], ids=lambda v: (" ".join(v) if isinstance(v, list)
+                 else "refused" if v is None else "exact"))
+def test_a_growth_near_the_float_range_is_exact_or_refused(tmp_path, capsys,
+                                                           flags, exact):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["transform", "--signal", "exp"] + flags,
+                             tmp_path)
+    out, err = capsys.readouterr()
+    if exact is None:
+        assert code == 2 and text is None
+        assert err.count("\n") == 1
+        assert err.startswith("ValueError: the smearing integral at growth "
+                              "rate ") and err.endswith(" float range\n")
+    else:
+        assert code == 0 and err == ""
+        _, [[_, value, error, _, _]] = payload_rows(text)
+        assert abs(float(value) - exact) <= float(error)
+
+
+@pytest.mark.parametrize("degree", ["100", "170", "400"])
+def test_a_polynomial_past_the_float_range_is_one_numerical_error(capsys,
+                                                                  degree):
+    # t^k overflows at the far nodes: no numpy warning (an exception under
+    # warnings-as-errors) and no inf - inf spread may accept it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(["transform", "--signal", "poly", "--degree",
+                           degree, "--n", "2", "--tau", "0.5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("QuadratureNotConverged: ")
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--sig"])
+def test_an_abbreviated_flag_is_refused(tmp_path, capsys, flag):
+    # argparse read --conf as --config, which the config splice never saw,
+    # so the file's tau = 0.5 was silently left out
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"tau": 0.5}))
+    value = {"--conf": str(path), "--sig": "cos"}[flag]
+    code, _ = run_cli(["transform", "--signal", "cos", "--n", "1", flag,
+                       value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"ConfigError: unrecognized arguments: {flag} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "dt", "--a", "0.5", "--tau", "0.1", "--n-max", "0"],
+    ["alpha-scan", "--alphas", "0.5", "--n-max", "-3"],
+], ids=" ".join)
+def test_n_max_is_checked_by_the_one_step_count_rule(capsys, argv):
+    code, _ = run_cli(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValueError: --n-max must be an integer >= 1, got ")
+
+
 def test_denormal_growth_per_step_is_one_numerical_error(capsys):
     # c * tau = 1e-321 puts the contour's end 12/lam past the float range:
     # refused before the path is built, not with numpy warnings and a math
