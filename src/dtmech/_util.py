@@ -1,14 +1,10 @@
-"""Shared numeric plumbing: deterministic reductions, Gauss--Legendre panels,
-the doubling loop of every rule, and thread helpers."""
+"""Shared numeric plumbing: deterministic reductions, Gauss--Legendre panels
+and the doubling loop of every rule."""
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-THREAD_ENV_VAR = "DTMECH_THREADS"
 
 #: Points per Gauss--Legendre panel; panel rules start from FIRST_PANELS
 #: panels and double up to MAX_PANELS
@@ -110,34 +106,3 @@ def refine(estimate, size: int, limit: int, rel: float, floor: float = 0.0):
             open_ &= (spread > fixed) | (fixed <= target)
         prev = cur
     return value, error, kept, size
-
-
-def resolve_thread_count(threads=None):
-    """Thread count from the argument, else the environment, else 1."""
-    if threads is not None:
-        n = int(threads)
-    else:
-        raw = os.environ.get(THREAD_ENV_VAR, "")
-        try:
-            n = int(raw) if raw else 1
-        except ValueError:
-            raise ValueError(f"{THREAD_ENV_VAR} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
-
-
-def deterministic_map(func, items, threads=None):
-    """Map preserving input order; results are independent of thread count.
-
-    Parallelism is only ever applied across independent work items; each item
-    is computed single-threaded, so the gathered list is identical for any
-    executor width.
-    """
-    items = list(items)
-    n = resolve_thread_count(threads)
-    if n <= 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, items))
-

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StiffnessFailure
 from .kernel import (GammaKernel, TimeSignal, _phase_log, _positive,
-                     _step_count, screening_horizon, transform_quadrature)
+                     screening_horizon, transform_quadrature)
 
 __all__ = [
     "PhaseState",
@@ -270,21 +270,16 @@ class MomentReport:
             yield [n, None, None, "energy", float(self.energy[k])]
 
 
-def _step_range(kernel: GammaKernel, steps: int | None) -> np.ndarray:
-    last = kernel.n if steps is None else _step_count(steps, 0, "steps")
-    return np.arange(last + 1)
-
-
 @_in_float_range
-def free_particle_moments(state: PhaseState, kernel: GammaKernel,
-                          steps: int | None = None) -> MomentReport:
-    """Closed-form free-particle report over ``n = 0..steps``.
+def free_particle_moments(state: PhaseState,
+                          kernel: GammaKernel) -> MomentReport:
+    """Closed-form free-particle report over ``n = 0..kernel.n``.
 
     Means drift ballistically while Var(x_i) grows exactly linearly,
     ``n tau^2 p_i^2 / m_i^2`` — diffusive spreading with
     ``D_i = p_i^2 tau / m_i^2``; momenta carry no spread at all.
     """
-    n = _step_range(kernel, steps)[:, None]
+    n = np.arange(kernel.n + 1)[:, None]
     tau = kernel.tau
     x0, p0, m = state.positions, state.momenta, state.masses
     mean_x = x0 + p0 * n * tau / m
@@ -299,9 +294,8 @@ def free_particle_moments(state: PhaseState, kernel: GammaKernel,
 
 
 @_in_float_range
-def sho_moments(state: PhaseState, kernel: GammaKernel,
-                steps: int | None = None) -> MomentReport:
-    """Closed-form unit-oscillator report over ``n = 0..steps``.
+def sho_moments(state: PhaseState, kernel: GammaKernel) -> MomentReport:
+    """Closed-form unit-oscillator report over ``n = 0..kernel.n``.
 
     With ``r_i = hypot(x_i, p_i)``, ``theta_i = atan2(x_i, p_i)``,
     ``phi = arctan tau`` and ``phi2 = arctan 2 tau``:
@@ -322,7 +316,7 @@ def sho_moments(state: PhaseState, kernel: GammaKernel,
     :func:`sho_moments_scaled` for general mass and frequency.
     """
     _require_unit_masses(state)
-    n = _step_range(kernel, steps)[:, None]
+    n = np.arange(kernel.n + 1)[:, None]
     tau = kernel.tau
     r = np.hypot(state.positions, state.momenta)
     theta = np.arctan2(state.positions, state.momenta)
@@ -345,9 +339,9 @@ def sho_moments(state: PhaseState, kernel: GammaKernel,
 
 @_in_float_range
 def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
-                       omega: float = 1.0,
-                       steps: int | None = None) -> MomentReport:
-    """Oscillator report for general masses and a common frequency.
+                       omega: float = 1.0) -> MomentReport:
+    """Oscillator report for general masses and a common frequency, over
+    ``n = 0..kernel.n``.
 
     H = sum p_i^2/2m_i + m_i omega^2 x_i^2 / 2.  Rescaling
     ``X = x sqrt(m omega)``, ``P = p / sqrt(m omega)`` and measuring time in
@@ -361,7 +355,7 @@ def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
     unit_state = PhaseState(state.positions * scale, state.momenta / scale,
                             np.ones(state.dof))
     unit_kernel = GammaKernel(kernel.n, kernel.tau * omega)
-    rep = sho_moments(unit_state, unit_kernel, steps=steps)
+    rep = sho_moments(unit_state, unit_kernel)
     inv = 1.0 / scale
     mean_x = rep.mean_positions * inv
     mean_p = rep.mean_momenta * scale
@@ -396,9 +390,9 @@ def observable_signal(trajectory: Trajectory, func) -> TimeSignal:
 
 
 @_in_float_range
-def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
-                      steps: int | None = None) -> np.ndarray:
-    """Smeared observable values over ``n = 0..steps``.
+def evolve_observable(model, state: PhaseState, func,
+                      kernel: GammaKernel) -> np.ndarray:
+    """Smeared observable values over ``n = 0..kernel.n``.
 
     Row ``n`` is the gamma transform (at step count ``n``) of the signal
     ``t -> func(x(t), p(t))``; row 0 is the deterministic initial value.
@@ -407,29 +401,28 @@ def evolve_observable(model, state: PhaseState, func, kernel: GammaKernel,
     step count: no transform, screening probe, live Gauss--Laguerre node or
     fallback panel reaches further, so it is never re-solved.
     """
-    n_values = _step_range(kernel, steps)
-    last = GammaKernel(max(int(n_values[-1]), 1), kernel.tau)
-    trajectory = model.trajectory(state, t_max=screening_horizon(last))
+    trajectory = model.trajectory(state, t_max=screening_horizon(kernel))
     signal = observable_signal(trajectory, func)
     x0 = state.positions[None, :]
     p0 = state.momenta[None, :]
     values = [np.asarray(func(x0, p0), dtype=float)[0]]
-    for n in n_values[1:]:
+    for n in range(1, kernel.n + 1):
         values.append(
-            transform_quadrature(signal, GammaKernel(int(n), kernel.tau)).value)
+            transform_quadrature(signal, GammaKernel(n, kernel.tau)).value)
     return np.asarray(values, dtype=float)
 
 
-def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
-                       steps: int | None = None) -> MomentReport:
-    """Moment report computed entirely through the quadrature route.
+def quadrature_moments(model, state: PhaseState,
+                       kernel: GammaKernel) -> MomentReport:
+    """Moment report over ``n = 0..kernel.n``, computed entirely through
+    the quadrature route.
 
     Exists to cross-check the closed forms: every mean and pair moment is a
     gamma transform of the corresponding product along the continuous
     trajectory.  All of them (and the energy) are columns of one signal, so
     each step count costs one transform.
     """
-    n_values = _step_range(kernel, steps)
+    n_values = np.arange(kernel.n + 1)
     l = state.dof
     iu, ju = np.triu_indices(l)
     energy_of = getattr(model, "energy", None)
@@ -440,7 +433,7 @@ def quadrature_moments(model, state: PhaseState, kernel: GammaKernel,
             cols.append(energy_of(x, p, state.masses)[:, None])
         return np.concatenate(cols, axis=1)
 
-    values = evolve_observable(model, state, columns, kernel, steps=steps)
+    values = evolve_observable(model, state, columns, kernel)
     pairs = iu.size
     second_x = np.empty((n_values.size, l, l))
     second_p = np.empty((n_values.size, l, l))

@@ -19,11 +19,13 @@ files, invalid physics inputs), 3 when a numerical method honestly fails
 prints exactly one ``ErrorName: message`` line on stderr.
 
 Determinism: the payload (CSV rows / JSON ``data``) is a pure function of
-the configuration and seed.  ``--threads`` parallelises Monte Carlo
-transforms only; they derive an independent generator per step count from
-``(seed, n)``, so results are identical for any ``--threads`` value, byte
-for byte.  Metadata (timestamp and friends) lives only in the ``#``
-preamble / ``meta`` key and never touches payload bytes.
+the configuration.  The one random route, ``transform --method
+monte-carlo``, is also the one command with ``--seed`` and ``--threads``:
+it derives an independent generator per step count from ``(seed, n)`` and
+spreads the step counts over at most ``--threads`` worker threads, so
+results are identical for any ``--threads`` value, byte for byte.
+Metadata (timestamp and friends) lives only in the ``#`` preamble /
+``meta`` key and never touches payload bytes.
 
 Configuration files: ``--config FILE`` holds a JSON object keyed by the
 command's flag names (dashes or underscores).  Each entry joins the command
@@ -51,7 +53,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import deterministic_map, resolve_thread_count
 from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         free_particle_moments, quadrature_moments,
                         sho_moments_scaled)
@@ -216,7 +217,15 @@ def _cmd_transform(args):
             return (n, est.estimate, est.standard_error, samples,
                     "monte-carlo")
 
-        results = deterministic_map(one, steps, threads=args.threads)
+        # each step count draws from its own generator, so the rows do not
+        # depend on how many threads share them
+        workers = min(args.threads, len(steps), os.cpu_count() or 1)
+        if workers == 1:
+            results = [one(n) for n in steps]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(one, steps))
     else:
         results = []
         for n in steps:
@@ -245,25 +254,22 @@ def _cmd_classical(args):
     else:
         masses = _float_list(args.mass, "--mass")
     state = PhaseState(positions, momenta, masses)
-    kern = GammaKernel(max(1, args.n), args.tau)
+    kern = GammaKernel(args.n, args.tau)
 
     if args.model == "free":
         if args.route == "closed":
-            report = free_particle_moments(state, kern, steps=args.n)
+            report = free_particle_moments(state, kern)
         else:
-            report = quadrature_moments(FreeParticle(), state, kern,
-                                        steps=args.n)
+            report = quadrature_moments(FreeParticle(), state, kern)
     else:
         if args.route == "closed":
-            report = sho_moments_scaled(state, kern, omega=args.omega,
-                                        steps=args.n)
+            report = sho_moments_scaled(state, kern, omega=args.omega)
         else:
             if args.omega != 1.0:
                 raise ConfigError("the quadrature route supports omega = 1 "
                                   "only; use --route closed for scaled "
                                   "oscillators")
-            report = quadrature_moments(HarmonicOscillator(), state, kern,
-                                        steps=args.n)
+            report = quadrature_moments(HarmonicOscillator(), state, kern)
 
     columns = ["n", "i", "j", "moment", "value"]
     rows = list(report.rows())
@@ -360,7 +366,7 @@ def _fit_meta(est) -> dict:
 def _cmd_chaos_ct(args):
     model = SensitivityModel(args.a, args.c)
     t_max = _positive("--t-max", args.t_max)
-    grid = np.linspace(0.0, t_max, args.grid)
+    grid = np.linspace(0.0, t_max, _step_count(args.grid, 1, "--grid"))
     distances = ct_distance(model, grid)
     extra = {}
     line = np.full(grid.size, None, dtype=object)
@@ -414,6 +420,14 @@ def _cmd_alpha_scan(args):
 # parser assembly and config files
 
 
+def _thread_count(text: str) -> int:
+    """``--threads``: an integer >= 1, refused as the flag is read."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_step_flags(parser):
     steps = parser.add_mutually_exclusive_group(required=True)
     steps.add_argument("--n", type=int, default=None,
@@ -435,11 +449,6 @@ def _common_parent() -> _Parser:
                    help="write the report here (atomic); default stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format (default csv)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed; recorded in the metadata")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for Monte Carlo transforms (default: "
-                        "DTMECH_THREADS or 1); payloads do not depend on it")
     p.add_argument("--config", metavar="PATH", default=None,
                    help="JSON object of flag values; flags override")
     return p
@@ -483,6 +492,13 @@ def build_parser() -> tuple[_Parser, list]:
                    default="quadrature")
     t.add_argument("--samples", type=int, default=100_000,
                    help="Monte Carlo sample count (default 100000)")
+    t.add_argument("--seed", type=int, default=None,
+                   help="Monte Carlo seed (default: drawn, and recorded in "
+                        "the metadata)")
+    t.add_argument("--threads", type=_thread_count, default=1,
+                   help="Monte Carlo worker threads (default 1), at most one "
+                        "per CPU and per step count; payloads do not depend "
+                        "on it")
     t.add_argument("--error-target", type=float, default=1e-10,
                    help="relative quadrature target (default 1e-10); node "
                         "doubling always starts at 32 nodes")
@@ -644,19 +660,18 @@ def _with_config(argv: list[str], leaves: list) -> list[str]:
 
 
 _META_EXCLUDED = {"handler", "command_path", "command", "action", "output",
-                  "config", "seed", "threads"}
+                  "config"}
 
 
 def _run(argv: list[str]) -> int:
     parser, leaves = build_parser()
     args = parser.parse_args(_with_config(argv, leaves))
-    threads = resolve_thread_count(args.threads)
 
     payload, extra = args.handler(args)
 
     config_echo = {k: v for k, v in sorted(vars(args).items())
                    if k not in _META_EXCLUDED}
-    meta = build_meta(args.command_path, config_echo, args.seed, threads)
+    meta = build_meta(args.command_path, config_echo)
     meta.update(extra)
 
     if "document" in payload:

@@ -576,6 +576,16 @@ def sample_internal_time(kernel: GammaKernel, rng: np.random.Generator,
     return draws
 
 
+def _binary_scale(values) -> float:
+    """The power of two at the largest real or imaginary part of ``values``,
+    held in the normal range, so that dividing by it and multiplying back
+    are exact."""
+    a = np.asarray(values)
+    peak = max(np.max(np.abs(a.real), initial=0.0),
+               np.max(np.abs(a.imag), initial=0.0))
+    return float(np.ldexp(1.0, np.clip(np.frexp(peak)[1], -1021, 1023)))
+
+
 def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
                           samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo smearing: average the signal over internal-time draws.
@@ -587,21 +597,30 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     ``g > 0``, is tilted as on the quadrature route: draws at the quantum
     ``tau / (1 - g tau)`` average the bounded ``e^{-g t} F``, so ``g tau <
     1`` is all it needs.  Reductions run through the fixed pairwise tree, so
-    a given seed reproduces the estimate bit for bit.  The estimate is
-    complex when the signal returns complex values; a signal with ``k``
-    columns gives length-``k`` estimates and standard errors, each its
-    column's own.
+    a given seed reproduces the estimate bit for bit.  The draws are
+    divided by a power of two near their largest part before they are
+    summed: that is exact, and no sum or squared residual of finite draws
+    overflows.  A mean or standard error that is still not finite is
+    refused (``ValueError``, "leaves the float range").  The estimate is complex
+    when the signal returns complex values; a signal with ``k`` columns
+    gives length-``k`` estimates and standard errors, each its column's own.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
-    evaluate, kernel, prefactor = _tilt(signal, kernel,
+    evaluate, tilted, prefactor = _tilt(signal, kernel,
                                         "the Monte Carlo variance", power=2)
-    t = sample_internal_time(kernel, np.random.default_rng(seed), samples)
+    t = sample_internal_time(tilted, np.random.default_rng(seed), samples)
     values = np.asarray(evaluate(t))
-    mean = pairwise_sum(values) / samples
-    resid = values - mean
-    var = np.real(pairwise_sum(np.abs(resid) ** 2)) / (samples - 1)
-    stderr = np.sqrt(var / samples)
+    scale = _binary_scale(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values / scale
+        mean = pairwise_sum(values) / samples
+        resid = values - mean
+        var = np.real(pairwise_sum(np.abs(resid) ** 2)) / (samples - 1)
+        mean, stderr = mean * scale, np.sqrt(var / samples) * scale
+    if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
+        raise ValueError(f"the Monte Carlo estimate at n={kernel.n}, "
+                         f"tau={kernel.tau} leaves the float range")
     kind = complex if np.iscomplexobj(values) else float
     if np.ndim(mean) == 0:
         return MonteCarloEstimate(*prefactor(kind(mean), float(stderr)))

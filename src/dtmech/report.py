@@ -2,9 +2,9 @@
 
 Every command-line invocation produces one report.  The payload — column
 names plus rows, or a JSON document body — is a pure function of the run
-configuration and seed, so identical inputs give identical payload bytes
-regardless of thread count or wall-clock time.  The metadata (tool version,
-echoed configuration, seed, timestamp) travels alongside but never leaks
+configuration, seed included, so identical inputs give identical payload
+bytes regardless of thread count or wall-clock time.  The metadata (tool
+version, echoed configuration, timestamp) travels alongside but never leaks
 into the payload: CSV metadata lives on ``#``-prefixed preamble lines above
 the header, JSON metadata under a separate ``"meta"`` key.
 
@@ -33,22 +33,19 @@ from . import __version__
 CSV_EOL = "\r\n"
 
 
-def build_meta(command: str, config: dict, seed: int | None,
-               threads: int) -> dict:
+def build_meta(command: str, config: dict) -> dict:
     """Assemble the metadata envelope for one run.
 
     ``config`` is the fully resolved configuration (defaults + file +
-    flags) echoed back so a report is reproducible from its own header.
-    ``seed`` is recorded even when unset (as ``None``) so its absence is
-    explicit rather than ambiguous.
+    flags) echoed back so a report is reproducible from its own header;
+    a command's seed and thread count, where it has them, are entries of
+    it like every other flag.
     """
     return {
         "tool": "dtmech",
         "version": __version__,
         "command": command,
         "config": dict(config),
-        "seed": seed,
-        "threads": threads,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
 

@@ -98,7 +98,7 @@ def test_criterion_02_free_particle_spreading():
     def body():
         state = PhaseState([0.0, 1.0], [1.0, -1.0], [1.0, 2.0])
         tau = 0.4
-        report = free_particle_moments(state, GammaKernel(50, tau), steps=50)
+        report = free_particle_moments(state, GammaKernel(50, tau))
         ns = report.steps[:, None]
         expect_var = ns * tau * tau * (state.momenta / state.masses) ** 2
         assert np.allclose(report.position_variances(), expect_var,
@@ -113,9 +113,8 @@ def test_criterion_02_free_particle_spreading():
                       / (state.masses[0] * state.masses[1]))
         assert np.allclose(covs, expect_cov, rtol=1e-10, atol=1e-14)
 
-        quad = quadrature_moments(FreeParticle(), state, GammaKernel(10, tau),
-                                  steps=10)
-        closed = free_particle_moments(state, GammaKernel(10, tau), steps=10)
+        quad = quadrature_moments(FreeParticle(), state, GammaKernel(10, tau))
+        closed = free_particle_moments(state, GammaKernel(10, tau))
         for name in ("mean_positions", "mean_momenta", "second_positions",
                      "second_momenta", "energy"):
             q, c = getattr(quad, name), getattr(closed, name)
@@ -130,9 +129,8 @@ def test_criterion_03_oscillator_cross_validation():
         scale = float(np.sum(state.positions ** 2 + state.momenta ** 2))
         for tau in (0.1, 0.5):
             kern = GammaKernel(50, tau)
-            closed = sho_moments(state, kern, steps=50)
-            quad = quadrature_moments(HarmonicOscillator(), state, kern,
-                                      steps=50)
+            closed = sho_moments(state, kern)
+            quad = quadrature_moments(HarmonicOscillator(), state, kern)
             for name in ("mean_positions", "mean_momenta",
                          "second_positions", "second_momenta", "energy"):
                 q = np.asarray(getattr(quad, name), dtype=float)
@@ -273,7 +271,7 @@ def test_criterion_09_continuum_limit_convergence():
         theta = math.atan2(1.0, 0.5)
         errs = []
         for tau, n in zip(taus, steps):
-            rep = sho_moments(state, GammaKernel(n, tau), steps=n)
+            rep = sho_moments(state, GammaKernel(n, tau))
             got = rep.mean_positions[-1, 0]
             errs.append(abs(got - r * math.sin(t_fixed + theta)))
         assert errs[0] > errs[1] > errs[2]
@@ -283,8 +281,7 @@ def test_criterion_09_continuum_limit_convergence():
         assert spread[0] > spread[1] > spread[2]
         free_state = PhaseState([0.0], [1.0], [1.0])
         for tau, n, expect in zip(taus, steps, spread):
-            rep = free_particle_moments(free_state, GammaKernel(n, tau),
-                                        steps=n)
+            rep = free_particle_moments(free_state, GammaKernel(n, tau))
             assert abs(rep.position_variances()[-1, 0] - expect) \
                 <= 1e-12 * expect
 

@@ -15,7 +15,7 @@ from dtmech import (BackwardOnly, CustomField, DensityMatrix,
                     StepScheme, advection_negativity_probe,
                     chirped_sine_expectation, decoherence_report,
                     dt_sensitivity, evolve_density, exponential_map,
-                    exponential_signal, free_particle_moments,
+                    exponential_signal,
                     gamma_equivalence_check, offdiagonal_modulus,
                     schroedinger_defect, scheme_delta_coefficient,
                     scheme_density_decomposition, sho_moments_scaled,
@@ -51,8 +51,6 @@ _STEP_CALLERS = {
     "gamma_equivalence_check": lambda n: gamma_equivalence_check(_STATE, n),
     "schroedinger_defect": lambda n: schroedinger_defect(n, 1.0),
     "decoherence_report": lambda n: decoherence_report(_STATE, n),
-    "free_particle_moments": lambda n: free_particle_moments(
-        PhaseState([1.0], [1.0], [1.0]), GammaKernel(3, 1.0), steps=n),
     "scheme_delta_coefficient": lambda n: scheme_delta_coefficient(
         StepScheme(0.25), n),
     "chirped_sine_expectation": lambda n: chirped_sine_expectation(n, 0.5,

@@ -432,7 +432,7 @@ def test_quadrature_report_equals_one_observable_at_a_time(model):
 def test_quadrature_energy_conserved_for_long_runs():
     s = PhaseState([1.0], [0.4], [1.0])
     k = GammaKernel(100, 0.4)
-    quad = quadrature_moments(HarmonicOscillator(), s, k, steps=100)
+    quad = quadrature_moments(HarmonicOscillator(), s, k)
     e0 = 0.5 * (1.0 + 0.16)
     np.testing.assert_allclose(quad.energy, e0, rtol=1e-9)
 
@@ -470,7 +470,7 @@ _COORD = st.floats(-2.0, 2.0)
 
 @st.composite
 def _moment_cases(draw):
-    """(oscillator?, state, tau, steps): dof 1-3, |x|, |p| <= 2, N <= 30;
+    """(oscillator?, state, tau, steps): dof 1-3, |x|, |p| <= 2, 1 <= N <= 30;
     free particles get masses in [0.5, 3], oscillators unit masses."""
     dof = draw(st.integers(1, 3))
     oscillator = draw(st.booleans())
@@ -478,7 +478,7 @@ def _moment_cases(draw):
     masses = ([1.0] * dof if oscillator else
               draw(st.lists(st.floats(0.5, 3.0), min_size=dof, max_size=dof)))
     state = PhaseState(draw(coords), draw(coords), masses)
-    tau, steps = draw(st.floats(0.05, 0.5)), draw(st.integers(0, 30))
+    tau, steps = draw(st.floats(0.05, 0.5)), draw(st.integers(1, 30))
     return oscillator, state, tau, steps
 
 
@@ -486,11 +486,11 @@ def _moment_cases(draw):
 @given(_moment_cases())
 def test_quadrature_moments_match_closed_forms_on_random_states(case):
     oscillator, state, tau, steps = case
-    kernel = GammaKernel(max(1, steps), tau)
+    kernel = GammaKernel(steps, tau)
     model, closed = ((HarmonicOscillator(), sho_moments) if oscillator
                      else (FreeParticle(), free_particle_moments))
-    want = closed(state, kernel, steps=steps)
-    got = quadrature_moments(model, state, kernel, steps=steps)
+    want = closed(state, kernel)
+    got = quadrature_moments(model, state, kernel)
     for name in ("mean_positions", "mean_momenta", "second_positions",
                  "second_momenta", "energy"):
         exact, routed = getattr(want, name), getattr(got, name)
@@ -531,8 +531,3 @@ def test_report_shape_validation():
                      second_momenta=np.zeros((2, 2, 2)),
                      energy=np.zeros(3))
 
-
-def test_step_range_validation():
-    s = PhaseState([1.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        free_particle_moments(s, GammaKernel(3, 1.0), steps=-1)

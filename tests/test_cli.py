@@ -291,6 +291,40 @@ def test_a_growth_near_the_float_range_is_exact_or_refused(tmp_path, capsys,
         assert abs(float(value) - exact) <= float(error)
 
 
+@pytest.mark.parametrize("flags, exact", [
+    # the tilted draws differ by ulps of 1e300: their residuals' squares
+    # overflowed
+    (["exp", "--value", "1e300", "--rate", "1", "--tau", "0.1", "--n", "3"],
+     mpmath.mpf(1e300) / (1 - mpmath.mpf(0.1)) ** 3),
+    # the mean's sum overflowed; the quadrature route returns 1e308
+    (["const", "--value", "1e308", "--n", "2", "--samples", "100"], 1e308),
+    # the squares of t^100 overflowed
+    (["poly", "--degree", "100", "--n", "5", "--tau", "10", "--samples",
+      "100"], None),
+    # F passes the largest double at the bulk: the draws hold inf
+    (["exp", "--value", "1e5", "--rate", "0.01", "--tau", "0.1", "--n",
+      "700000", "--samples", "1000"], "refused"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_monte_carlo_sums_near_the_float_range(tmp_path, capsys, flags,
+                                               exact):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["transform", "--signal"] + flags + [
+            "--method", "monte-carlo", "--seed", "1"], tmp_path)
+    err = capsys.readouterr().err
+    if exact == "refused":
+        assert (code, text) == (2, None)
+        assert err.count("\n") == 1
+        assert err.startswith("ValueError: the Monte Carlo estimate at ")
+        assert err.endswith(" leaves the float range\n")
+        return
+    assert code == 0 and err == ""
+    _, [[_, value, error, _, _]] = payload_rows(text)
+    assert math.isfinite(float(value)) and math.isfinite(float(error))
+    if exact is not None:
+        assert abs(float(value) - exact) <= float(error)
+
+
 @pytest.mark.parametrize("degree", ["100", "170", "400"])
 def test_a_polynomial_past_the_float_range_is_one_numerical_error(capsys,
                                                                   degree):
@@ -333,6 +367,17 @@ def test_n_max_is_checked_by_the_one_step_count_rule(capsys, argv):
     assert err.startswith("ValueError: --n-max must be an integer >= 1, got ")
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_chaos_ct_grid_is_checked_by_the_one_step_count_rule(capsys, grid):
+    # --grid 0 gave a header without rows, --grid -1 numpy's message
+    code, _ = run_cli(["chaos", "ct", "--a", "0.5", "--t-max", "12",
+                       "--grid", grid])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValueError: --grid must be an integer >= 1, got ")
+
+
 def test_denormal_growth_per_step_is_one_numerical_error(capsys):
     # c * tau = 1e-321 puts the contour's end 12/lam past the float range:
     # refused before the path is built, not with numpy warnings and a math
@@ -368,13 +413,13 @@ def test_seed_recorded_in_meta(tmp_path):
     code, text = run_cli(["transform", "--signal", "cos", "--n", "1",
                           "--seed", "42", "--format", "json"], tmp_path)
     assert code == 0
-    assert json.loads(text)["meta"]["seed"] == 42
+    assert json.loads(text)["meta"]["config"]["seed"] == 42
 
 
 def test_absent_seed_recorded_as_null(tmp_path):
     code, text = run_cli(["transform", "--signal", "cos", "--n", "1",
                           "--format", "json"], tmp_path)
-    assert json.loads(text)["meta"]["seed"] is None
+    assert json.loads(text)["meta"]["config"]["seed"] is None
 
 
 def test_monte_carlo_draws_and_records_a_seed(tmp_path):
@@ -382,7 +427,7 @@ def test_monte_carlo_draws_and_records_a_seed(tmp_path):
                           "--method", "monte-carlo", "--samples", "500",
                           "--format", "json"], tmp_path)
     assert code == 0
-    assert isinstance(json.loads(text)["meta"]["seed"], int)
+    assert isinstance(json.loads(text)["meta"]["config"]["seed"], int)
 
 
 def test_payload_bytes_identical_across_thread_counts(tmp_path):
@@ -394,15 +439,6 @@ def test_payload_bytes_identical_across_thread_counts(tmp_path):
     assert one != four  # metadata timestamps differ; payload must not
 
 
-def test_quadrature_payload_bytes_identical_across_thread_counts(tmp_path):
-    base = ["classical", "--model", "oscillator", "--route", "quadrature",
-            "--x", "1,0.5", "--p", "0,-0.7", "--n", "30", "--tau", "0.25"]
-    _, one = run_cli(base + ["--threads", "1"], tmp_path, "a.csv")
-    _, four = run_cli(base + ["--threads", "4"], tmp_path, "b.csv")
-    assert csv_payload(one) == csv_payload(four)
-    assert one != four
-
-
 def test_payload_depends_on_seed(tmp_path):
     base = ["transform", "--signal", "cos", "--n", "4", "--method",
             "monte-carlo", "--samples", "2000"]
@@ -412,20 +448,47 @@ def test_payload_depends_on_seed(tmp_path):
 
 
 def test_zero_threads_exit_2_on_every_route(capsys):
-    base = ["classical", "--model", "oscillator", "--x", "1", "--p", "0",
-            "--n", "3", "--threads", "0"]
-    for route in ("closed", "quadrature"):
-        assert run_cli(base + ["--route", route]) == (2, None)
+    base = ["transform", "--signal", "cos", "--n", "3", "--samples", "200",
+            "--threads", "0"]
+    for method in ("quadrature", "monte-carlo"):
+        assert run_cli(base + ["--method", method]) == (2, None)
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("ValueError: thread count must be >= 1")
+        assert err.startswith("ConfigError: argument --threads: must be an "
+                              "integer >= 1")
 
 
-def test_threads_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("DTMECH_THREADS", "3")
-    code, text = run_cli(["transform", "--signal", "cos", "--n", "1",
-                          "--format", "json"], tmp_path)
-    assert json.loads(text)["meta"]["threads"] == 3
+@pytest.mark.parametrize("cpus, threads, steps, workers", [
+    (4, 6, "1:6", 4), (4, 3, "1:6", 3), (4, 64, "1:2", 2), (None, 6, "1:6", 1),
+    (4, 1, "1:6", 1)])
+def test_thread_pool_is_bounded(tmp_path, monkeypatch, cpus, threads, steps,
+                                workers):
+    # a stand-in executor records the pool size and starts no thread
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    base = ["transform", "--signal", "cos", "--n-range", steps,
+            "--method", "monte-carlo", "--samples", "500", "--seed", "3"]
+    _, pooled = run_cli(base + ["--threads", str(threads)], tmp_path, "a.csv")
+    _, serial = run_cli(base, tmp_path, "b.csv")
+    assert sizes == ([workers] if workers > 1 else [])
+    assert csv_payload(pooled) == csv_payload(serial)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +707,24 @@ def test_config_entry_equals_its_flag(config_dir, command, data):
         assert by_config[1] == by_flag[1] == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", 1), ("--threads", 2)])
+@pytest.mark.parametrize("command", sorted(set(_BASE) - {"transform"}))
+def test_seed_and_threads_belong_to_transform(config_dir, command, flag,
+                                              value):
+    # only the Monte Carlo transform reads them
+    words = command.split()
+    base = [arg.format(rho=config_dir / "rho.json") for arg in _BASE[command]]
+    code, out, err = _invoke(words + base + [flag, str(value)])
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"ConfigError: unrecognized arguments: {flag} {value}")
+    cfg = config_dir / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    code, out, err = _invoke(words + base + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ConfigError: unknown config key '{flag[2:]}'")
+
+
 # ---------------------------------------------------------------------------
 # classical reports
 
@@ -694,12 +775,12 @@ def test_classical_quadrature_route_matches_closed(tmp_path):
 
 
 _CLASSICAL_REPORTS = {
-    ("closed", "free"): lambda s, k: free_particle_moments(s, k, steps=4),
-    ("closed", "oscillator"): lambda s, k: sho_moments(s, k, steps=4),
+    ("closed", "free"): free_particle_moments,
+    ("closed", "oscillator"): sho_moments,
     ("quadrature", "free"):
-        lambda s, k: quadrature_moments(FreeParticle(), s, k, steps=4),
+        lambda s, k: quadrature_moments(FreeParticle(), s, k),
     ("quadrature", "oscillator"):
-        lambda s, k: quadrature_moments(HarmonicOscillator(), s, k, steps=4),
+        lambda s, k: quadrature_moments(HarmonicOscillator(), s, k),
 }
 
 
@@ -721,6 +802,15 @@ def test_classical_rows_are_the_report_rows(tmp_path, route, model):
 def test_classical_needs_state_flags(capsys):
     code, _ = run_cli(["classical", "--model", "free", "--n", "2"])
     assert code == 2
+
+
+def test_classical_reports_at_least_one_step(capsys):
+    # a report covers rows 0..n of its kernel, whose step count is >= 1
+    code, _ = run_cli(["classical", "--x", "1", "--p", "0", "--n", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValueError: step count n must be an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
