@@ -3,7 +3,8 @@
 Subcommands map onto the library's functional areas:
 
 * ``transform`` — smear a time signal over the internal-time distribution
-  (quadrature or seeded Monte Carlo);
+  (quadrature or seeded Monte Carlo; either route gives one
+  ``TransformResult`` per step count, rendered alike);
 * ``classical`` — moment reports for free particles and oscillator chains,
   by closed form or through the quadrature route;
 * ``quantum td|evolve|equivalence|defect`` — decoherence times, density
@@ -12,6 +13,10 @@ Subcommands map onto the library's functional areas:
   chaotic benchmark map, continuous and discrete;
 * ``alpha-scan`` — delta remnants and negativity minima across mixed
   stepping schemes.
+
+Each leaf command is declared once, by ``_leaf``: its words, its handler
+and the flags every leaf shares (``--output``, ``--format``, ``--config``,
+and ``--preset`` on the quantum leaves).
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, bad
 files, invalid physics inputs), 3 when a numerical method honestly fails
@@ -57,8 +62,9 @@ from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         free_particle_moments, quadrature_moments,
                         sho_moments_scaled)
 from .errors import NumericalError
-from .kernel import (GammaKernel, QuadratureRule, StepScheme, _positive,
-                     _step_count, advection_negativity_probe,
+from .kernel import (DEFAULT_ERROR_TARGET, FIRST_NODE_COUNT, GammaKernel,
+                     QuadratureRule, StepScheme, _positive, _step_count,
+                     advection_negativity_probe,
                      complex_exponential_signal, constant_signal,
                      cosine_signal, exponential_signal, monomial_signal,
                      scheme_delta_coefficient, tabulated_signal,
@@ -209,41 +215,34 @@ def _cmd_transform(args):
         if args.seed is None:
             # draw one, and surface it in the metadata for reruns
             args.seed = int.from_bytes(os.urandom(8), "big")
-        seed, samples = args.seed, args.samples
 
         def one(n):
-            est = transform_monte_carlo(signal, GammaKernel(n, tau),
-                                        samples, (seed, n))
-            return (n, est.estimate, est.standard_error, samples,
-                    "monte-carlo")
+            return transform_monte_carlo(signal, GammaKernel(n, tau),
+                                         args.samples, (args.seed, n))
 
         # each step count draws from its own generator, so the rows do not
         # depend on how many threads share them
         workers = min(args.threads, len(steps), os.cpu_count() or 1)
-        if workers == 1:
-            results = [one(n) for n in steps]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, steps))
     else:
-        results = []
-        for n in steps:
+        def one(n):
             kern = GammaKernel(n, tau)
-            rule = QuadratureRule.for_kernel(kern, error_target=args.error_target)
-            r = transform_quadrature(signal, kern, rule=rule)
-            results.append((n, r.value, r.error, r.node_count, r.method))
+            return transform_quadrature(
+                signal, kern, QuadratureRule.for_kernel(kern, args.error_target))
 
-    if args.signal == "cexp":
-        columns = ["n", "value_re", "value_im", "error", "evaluations",
-                   "method"]
-        rows = [[n, complex(v).real, complex(v).imag, e, m, meth]
-                for (n, v, e, m, meth) in results]
+        workers = 1
+    if workers == 1:
+        results = [one(n) for n in steps]
     else:
-        columns = ["n", "value", "error", "evaluations", "method"]
-        rows = [[n, float(np.real(v)), e, m, meth]
-                for (n, v, e, m, meth) in results]
-    return {"columns": columns, "rows": rows}, {}
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, steps))
+
+    cexp = args.signal == "cexp"  # the one complex signal: split columns
+    values = ["value_re", "value_im"] if cexp else ["value"]
+    rows = [[n, *([r.value.real, r.value.imag] if cexp else [r.value]),
+             r.error, r.node_count, r.method] for n, r in zip(steps, results)]
+    return {"columns": ["n", *values, "error", "evaluations", "method"],
+            "rows": rows}, {}
 
 
 def _cmd_classical(args):
@@ -289,12 +288,16 @@ def _read_density(path: str, repair: bool) -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object with "
                           "energies/re/im")
-    try:
-        energies = np.asarray(doc["energies"], dtype=float)
-        real = np.asarray(doc["re"], dtype=float)
-        imag = np.asarray(doc["im"], dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
+    fields = []
+    for name in ("energies", "re", "im"):
+        if name not in doc:
+            raise ConfigError(f"{path}: missing field {name!r}")
+        try:
+            fields.append(np.asarray(doc[name], dtype=float))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: field {name!r} is not an array of "
+                              "numbers") from None
+    energies, real, imag = fields
     coeffs = real + 1j * imag
     if repair:
         return project_density(energies, coeffs)
@@ -363,21 +366,27 @@ def _fit_meta(est) -> dict:
             "samples": est.samples}
 
 
+def _sensitivity_curve(x, distances, est, step=1.0):
+    """Rows ``[x, distance, fitted_line]`` over the array ``x`` (times or
+    step counts) and the meta; with a fit ``est``, the line is
+    ``exp(intercept + exponent * x * step)`` and the fit goes to
+    ``meta.fit``, else the line is empty."""
+    extra, line = {}, [None] * len(x)
+    if est is not None:
+        extra["fit"] = _fit_meta(est)
+        line = np.exp(est.intercept + est.exponent * x * step).tolist()
+    rows = [[xi, float(d), f] for xi, d, f in zip(x.tolist(), distances, line)]
+    return ({"columns": ["n_or_t", "distance", "fitted_line"], "rows": rows},
+            extra)
+
+
 def _cmd_chaos_ct(args):
     model = SensitivityModel(args.a, args.c)
     t_max = _positive("--t-max", args.t_max)
     grid = np.linspace(0.0, t_max, _step_count(args.grid, 1, "--grid"))
     distances = ct_distance(model, grid)
-    extra = {}
-    line = np.full(grid.size, None, dtype=object)
-    if not args.no_fit:
-        est = ct_lyapunov(model, t_max)
-        extra["fit"] = _fit_meta(est)
-        line = np.exp(est.intercept + est.exponent * grid)
-    rows = [[float(t), float(d), None if f is None else float(f)]
-            for t, d, f in zip(grid, distances, line)]
-    return ({"columns": ["n_or_t", "distance", "fitted_line"], "rows": rows},
-            extra)
+    est = None if args.no_fit else ct_lyapunov(model, t_max)
+    return _sensitivity_curve(grid, distances, est)
 
 
 def _cmd_chaos_dt(args):
@@ -385,19 +394,10 @@ def _cmd_chaos_dt(args):
     tau, n_max = args.tau, _step_count(args.n_max, 1, "--n-max")
     steps = np.arange(1, n_max + 1)
     sens = [dt_sensitivity(model, GammaKernel(int(n), tau)) for n in steps]
-    distances = [abs(r.value) for r in sens]
-    extra = {}
-    line = [None] * len(steps)
-    if not args.no_fit:
-        # dt_lyapunov's fit, read from the table's own late half
-        est = _dt_window_fit(model, GammaKernel(n_max, tau),
-                             lambda n: sens[n - 1].log_magnitude)
-        extra["fit"] = _fit_meta(est)
-        line = np.exp(est.intercept + est.exponent * steps * tau)
-    rows = [[int(n), float(d), None if f is None else float(f)]
-            for n, d, f in zip(steps, distances, line)]
-    return ({"columns": ["n_or_t", "distance", "fitted_line"], "rows": rows},
-            extra)
+    # dt_lyapunov's fit, read from the table's own late half
+    est = None if args.no_fit else _dt_window_fit(
+        model, GammaKernel(n_max, tau), lambda n: sens[n - 1].log_magnitude)
+    return _sensitivity_curve(steps, [abs(r.value) for r in sens], est, tau)
 
 
 def _cmd_alpha_scan(args):
@@ -420,12 +420,24 @@ def _cmd_alpha_scan(args):
 # parser assembly and config files
 
 
-def _thread_count(text: str) -> int:
-    """``--threads``: an integer >= 1, refused as the flag is read."""
-    if not text.strip().isdecimal() or int(text) < 1:
+def _count(minimum: int):
+    """The type of a count flag: an integer >= ``minimum``, refused as the
+    flag is read (its ``--config`` entry too)."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _target(text: str) -> float:
+    """``--error-target``: finite and > 0, refused as the flag is read."""
+    try:
+        return _positive("error target", float(text))
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return int(text)
+            f"must be finite and > 0, got {text!r}") from None
 
 
 def _add_step_flags(parser):
@@ -436,29 +448,25 @@ def _add_step_flags(parser):
                        help="inclusive range of step counts")
 
 
-def _common_parent() -> _Parser:
-    """Fresh shared-flag parent per subcommand.
-
-    argparse ``parents`` shares the underlying action objects, so a single
-    parent instance would let one subcommand's ``set_defaults`` (such as
-    ``quantum evolve``'s ``format="json"``) leak defaults into every other
-    subcommand.  Each leaf therefore gets its own copy.
-    """
-    p = _Parser(add_help=False)
-    p.add_argument("--output", metavar="PATH", default=None,
-                   help="write the report here (atomic); default stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="report format (default csv)")
-    p.add_argument("--config", metavar="PATH", default=None,
-                   help="JSON object of flag values; flags override")
-    return p
-
-
-def _preset_parent() -> _Parser:
-    p = _Parser(add_help=False)
-    p.add_argument("--preset", choices=sorted(_PRESETS), default="natural",
-                   help="constants: natural (hbar=tau=1) or si-planck")
-    return p
+def _leaf(subs, leaves, path: str, handler, help: str, preset: bool = False,
+          **defaults) -> _Parser:
+    """Declare the leaf command ``path`` (such as ``"quantum td"``) under
+    ``subs``, with the flags every leaf shares, and append it to ``leaves``;
+    ``defaults`` are the leaf's own ``set_defaults``."""
+    leaf = subs.add_parser(path.split()[-1], help=help)
+    leaf.add_argument("--output", metavar="PATH", default=None,
+                      help="write the report here (atomic); default stdout")
+    leaf.add_argument("--format", choices=("csv", "json"), default="csv",
+                      help="report format (default csv)")
+    leaf.add_argument("--config", metavar="PATH", default=None,
+                      help="JSON object of flag values; flags override")
+    if preset:
+        leaf.add_argument("--preset", choices=sorted(_PRESETS),
+                          default="natural",
+                          help="constants: natural (hbar=tau=1) or si-planck")
+    leaf.set_defaults(handler=handler, command_path=path, **defaults)
+    leaves.append(leaf)
+    return leaf
 
 
 def build_parser() -> tuple[_Parser, list]:
@@ -470,8 +478,8 @@ def build_parser() -> tuple[_Parser, list]:
                                  metavar="COMMAND")
     leaves = []
 
-    t = subs.add_parser("transform", parents=[_common_parent()],
-                        help="smear a time signal over internal time")
+    t = _leaf(subs, leaves, "transform", _cmd_transform,
+              "smear a time signal over internal time")
     t.add_argument("--signal", choices=("const", "poly", "cos", "cexp",
                                         "exp", "table"), required=True,
                    help="signal family")
@@ -490,23 +498,23 @@ def build_parser() -> tuple[_Parser, list]:
                    help="time quantum (default 1)")
     t.add_argument("--method", choices=("quadrature", "monte-carlo"),
                    default="quadrature")
-    t.add_argument("--samples", type=int, default=100_000,
+    t.add_argument("--samples", type=_count(2), default=100_000,
                    help="Monte Carlo sample count (default 100000)")
     t.add_argument("--seed", type=int, default=None,
                    help="Monte Carlo seed (default: drawn, and recorded in "
                         "the metadata)")
-    t.add_argument("--threads", type=_thread_count, default=1,
+    t.add_argument("--threads", type=_count(1), default=1,
                    help="Monte Carlo worker threads (default 1), at most one "
                         "per CPU and per step count; payloads do not depend "
                         "on it")
-    t.add_argument("--error-target", type=float, default=1e-10,
-                   help="relative quadrature target (default 1e-10); node "
-                        "doubling always starts at 32 nodes")
-    t.set_defaults(handler=_cmd_transform, command_path="transform")
-    leaves.append(t)
+    t.add_argument("--error-target", type=_target,
+                   default=DEFAULT_ERROR_TARGET,
+                   help=f"relative quadrature target (default "
+                        f"{DEFAULT_ERROR_TARGET:g}); node doubling always "
+                        f"starts at {FIRST_NODE_COUNT} nodes")
 
-    c = subs.add_parser("classical", parents=[_common_parent()],
-                        help="moment report for a classical system")
+    c = _leaf(subs, leaves, "classical", _cmd_classical,
+              "moment report for a classical system")
     c.add_argument("--model", choices=("free", "oscillator"), default="free")
     c.add_argument("--route", choices=("closed", "quadrature"),
                    default="closed")
@@ -519,57 +527,44 @@ def build_parser() -> tuple[_Parser, list]:
     c.add_argument("--n", type=int, required=True,
                    help="report steps 0..n")
     c.add_argument("--tau", type=float, default=1.0)
-    c.set_defaults(handler=_cmd_classical, command_path="classical")
-    leaves.append(c)
 
     q = subs.add_parser("quantum", help="density-matrix commands")
     qsubs = q.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    td = qsubs.add_parser("td", parents=[_common_parent(), _preset_parent()],
-                          help="decoherence times for energy gaps")
+    td = _leaf(qsubs, leaves, "quantum td", _cmd_quantum_td,
+               "decoherence times for energy gaps", preset=True)
     td.add_argument("--delta-e", action="append", metavar="ENERGY",
                     required=True,
                     help="energy gap; repeatable; needs meV/eV/J in SI mode")
     td.add_argument("--horizon", metavar="TIME", default=None,
                     help="custom comparison horizon (s/yr in SI mode); "
                          "default 1e10yr in SI")
-    td.set_defaults(handler=_cmd_quantum_td, command_path="quantum td")
-    leaves.append(td)
 
-    ev = qsubs.add_parser("evolve", parents=[_common_parent(), _preset_parent()],
-                          help="evolve a density matrix n steps")
+    ev = _leaf(qsubs, leaves, "quantum evolve", _cmd_quantum_evolve,
+               "evolve a density matrix n steps", preset=True, format="json")
     ev.add_argument("--state", metavar="PATH", required=True,
                     help="JSON file: energies[], re[][], im[][]")
     ev.add_argument("--n", type=int, required=True, help="step count")
     ev.add_argument("--repair", action="store_true",
                     help="project an almost-valid state instead of rejecting")
-    ev.set_defaults(handler=_cmd_quantum_evolve, command_path="quantum evolve",
-                    format="json")
-    leaves.append(ev)
 
-    eq = qsubs.add_parser("equivalence", parents=[_common_parent(), _preset_parent()],
-                          help="discrete vs smeared-continuous agreement")
+    eq = _leaf(qsubs, leaves, "quantum equivalence", _cmd_quantum_equivalence,
+               "discrete vs smeared-continuous agreement", preset=True)
     eq.add_argument("--state", metavar="PATH", required=True)
     eq.add_argument("--repair", action="store_true")
     _add_step_flags(eq)
-    eq.set_defaults(handler=_cmd_quantum_equivalence,
-                    command_path="quantum equivalence")
-    leaves.append(eq)
 
-    df = qsubs.add_parser("defect", parents=[_common_parent(), _preset_parent()],
-                          help="per-step deviation from unitary evolution")
+    df = _leaf(qsubs, leaves, "quantum defect", _cmd_quantum_defect,
+               "per-step deviation from unitary evolution", preset=True)
     df.add_argument("--delta-e", action="append", metavar="ENERGY",
                     required=True)
     _add_step_flags(df)
-    df.set_defaults(handler=_cmd_quantum_defect,
-                    command_path="quantum defect")
-    leaves.append(df)
 
     ch = subs.add_parser("chaos", help="sensitivity growth benchmarks")
     chsubs = ch.add_subparsers(dest="action", required=True, metavar="ACTION")
 
-    ct = chsubs.add_parser("ct", parents=[_common_parent()],
-                           help="continuous-time sensitivity curve and fit")
+    ct = _leaf(chsubs, leaves, "chaos ct", _cmd_chaos_ct,
+               "continuous-time sensitivity curve and fit")
     ct.add_argument("--a", type=float, required=True,
                     help="map parameter in (-1, 1)")
     ct.add_argument("--c", type=float, default=1.0, help="growth rate")
@@ -579,21 +574,17 @@ def build_parser() -> tuple[_Parser, list]:
                          "its own 1200 over the late half")
     ct.add_argument("--no-fit", action="store_true",
                     help="emit the curve without a growth-rate fit")
-    ct.set_defaults(handler=_cmd_chaos_ct, command_path="chaos ct")
-    leaves.append(ct)
 
-    dt = chsubs.add_parser("dt", parents=[_common_parent()],
-                           help="discrete-time sensitivity curve and fit")
+    dt = _leaf(chsubs, leaves, "chaos dt", _cmd_chaos_dt,
+               "discrete-time sensitivity curve and fit")
     dt.add_argument("--a", type=float, required=True)
     dt.add_argument("--c", type=float, default=1.0)
     dt.add_argument("--tau", type=float, required=True)
     dt.add_argument("--n-max", type=int, required=True)
     dt.add_argument("--no-fit", action="store_true")
-    dt.set_defaults(handler=_cmd_chaos_dt, command_path="chaos dt")
-    leaves.append(dt)
 
-    al = subs.add_parser("alpha-scan", parents=[_common_parent()],
-                         help="delta remnant and negativity across schemes")
+    al = _leaf(subs, leaves, "alpha-scan", _cmd_alpha_scan,
+               "delta remnant and negativity across schemes")
     al.add_argument("--alphas", default="0,0.25,0.5,0.75",
                     help="comma-separated forward weights in [0, 1)")
     al.add_argument("--n-max", type=int, default=6)
@@ -604,8 +595,6 @@ def build_parser() -> tuple[_Parser, list]:
                     help="periodic domain length (default 64)")
     al.add_argument("--points", type=int, default=16384,
                     help="grid points, power of two (default 16384)")
-    al.set_defaults(handler=_cmd_alpha_scan, command_path="alpha-scan")
-    leaves.append(al)
 
     return parser, leaves
 

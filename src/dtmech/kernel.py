@@ -46,7 +46,6 @@ __all__ = [
     "StepScheme",
     "TimeSignal",
     "TransformResult",
-    "MonteCarloEstimate",
     "SchemeDecomposition",
     "AdvectionProbe",
     "gamma_density",
@@ -73,6 +72,9 @@ ABSOLUTE_FLOOR = 1e-13
 #: count and stops at MAX_NODE_COUNT; columns still open go to the panels.
 FIRST_NODE_COUNT = 32
 MAX_NODE_COUNT = 512
+
+#: Default relative target of node doubling and the panel fallback.
+DEFAULT_ERROR_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -342,20 +344,27 @@ class QuadratureRule:
     """
 
     step_count: int
-    error_target: float = 1e-10
+    error_target: float = DEFAULT_ERROR_TARGET
 
     @classmethod
-    def for_kernel(cls, kernel: GammaKernel,
-                   error_target: float = 1e-10) -> "QuadratureRule":
+    def for_kernel(cls, kernel: GammaKernel, error_target: float =
+                   DEFAULT_ERROR_TARGET) -> "QuadratureRule":
         return cls(step_count=kernel.n,
                    error_target=_positive("error target", error_target))
 
 
 class TransformResult(NamedTuple):
-    """Value of the smearing integral plus its numerical provenance.
+    """Value of the smearing integral plus its numerical provenance, on
+    either route.
 
-    For ``k`` columns, ``value`` and ``error`` have length ``k``, ``node_count``
-    is the largest any column needed and ``method`` names any fallback.
+    By quadrature, ``error`` is the doubling (or panel) error estimate,
+    ``node_count`` the Gauss--Laguerre node count at which the value was
+    accepted (the largest any column needed; 0 when the panel fallback
+    supplied every column) and ``method`` is ``"laguerre"``, or
+    ``"adaptive"`` when a column went to the panel fallback.  By Monte
+    Carlo, ``value`` is the sample mean, ``error`` its standard error,
+    ``node_count`` the sample count and ``method`` ``"monte-carlo"``.  For
+    ``k`` columns, ``value`` and ``error`` have length ``k``.
     """
 
     value: complex | float
@@ -364,11 +373,15 @@ class TransformResult(NamedTuple):
     method: str
 
 
-class MonteCarloEstimate(NamedTuple):
-    """Sample mean and its standard error; length ``k`` for ``k`` columns."""
-
-    estimate: complex | float
-    standard_error: float
+def _result(value, error, node_count: int, method: str,
+            prefactor) -> TransformResult:
+    """The result of either route: a 0-d ``value`` becomes a float or
+    complex and its ``error`` a float, then the tilt's ``prefactor`` scales
+    both."""
+    if np.ndim(value) == 0:
+        value = (complex if np.iscomplexobj(value) else float)(value)
+        error = float(error)
+    return TransformResult(*prefactor(value, error), int(node_count), method)
 
 
 def screening_horizon(kernel: GammaKernel) -> float:
@@ -502,7 +515,6 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
 
     value, error, kept, _ = refine(laguerre, FIRST_NODE_COUNT, MAX_NODE_COUNT,
                                    rel, ABSOLUTE_FLOOR)
-    kind = complex if np.iscomplexobj(value) else float
     method = "laguerre"
     left = kept == 0
     if left.any():
@@ -510,9 +522,7 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
             lambda t: np.asarray(evaluate(t))[:, left])
         value[left], error[left] = _adaptive_fallback(rest, kernel, rel)
         method = "adaptive"
-    if value.ndim == 0:
-        value, error = kind(value), float(error)
-    return TransformResult(*prefactor(value, error), int(kept.max()), method)
+    return _result(value, error, kept.max(), method, prefactor)
 
 
 def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):
@@ -587,12 +597,13 @@ def _binary_scale(values) -> float:
 
 
 def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
-                          samples: int, seed: int) -> MonteCarloEstimate:
+                          samples: int, seed: int) -> TransformResult:
     """Monte Carlo smearing: average the signal over internal-time draws.
 
-    The estimate is the sample mean of ``F(tau * U_i)`` with
-    ``U_i ~ Gamma(n, 1)``; its uncertainty is the standard error of that
-    mean, which needs the transform of ``|F|^2``: the screening checks it
+    The result's ``value`` is the sample mean of ``F(tau * U_i)`` with
+    ``U_i ~ Gamma(n, 1)``, its ``error`` the standard error of that mean,
+    ``node_count`` the sample count and ``method`` ``"monte-carlo"``.  The
+    standard error needs the transform of ``|F|^2``: the screening checks it
     for a signal without a declared growth rate.  A declared ``e^{g t}``,
     ``g > 0``, is tilted as on the quadrature route: draws at the quantum
     ``tau / (1 - g tau)`` average the bounded ``e^{-g t} F``, so ``g tau <
@@ -601,9 +612,9 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     divided by a power of two near their largest part before they are
     summed: that is exact, and no sum or squared residual of finite draws
     overflows.  A mean or standard error that is still not finite is
-    refused (``ValueError``, "leaves the float range").  The estimate is complex
+    refused (``ValueError``, "leaves the float range").  The value is complex
     when the signal returns complex values; a signal with ``k`` columns
-    gives length-``k`` estimates and standard errors, each its column's own.
+    gives length-``k`` values and errors, each its column's own.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
@@ -621,10 +632,7 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
         raise ValueError(f"the Monte Carlo estimate at n={kernel.n}, "
                          f"tau={kernel.tau} leaves the float range")
-    kind = complex if np.iscomplexobj(values) else float
-    if np.ndim(mean) == 0:
-        return MonteCarloEstimate(*prefactor(kind(mean), float(stderr)))
-    return MonteCarloEstimate(*prefactor(mean.astype(kind), stderr))
+    return _result(mean, stderr, samples, "monte-carlo", prefactor)
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,16 @@ _TRANSFORM = ["transform", "--n", "3", "--tau", "0.5"]
     _TRANSFORM + ["--signal", "const", "--value", "nan"],
     _TRANSFORM + ["--signal", "exp", "--rate", "nan"],
     _TRANSFORM + ["--signal", "exp", "--rate", "0.5", "--value", "inf"],
-    _TRANSFORM + ["--signal", "cos", "--error-target", "nan"],
     _TRANSFORM + ["--signal", "table", "--table", "{table}"],
     _TRANSFORM + ["--signal", "cos", "--omega", "nan", "--method",
                   "monte-carlo", "--samples", "1000", "--seed", "1"],
+    # each transform flag is checked alike on both routes, as it is parsed
+    *[_TRANSFORM + ["--signal", "cos", "--method", method] + flags
+      for method in ("quadrature", "monte-carlo")
+      for flags in (["--error-target", "nan"], ["--samples", "1"])],
+    # a density file whose field is no array of numbers
+    ["quantum", "evolve", "--state", "{state}", "--n", "1"],
+    ["quantum", "equivalence", "--state", "{state}", "--n", "1"],
     ["chaos", "ct", "--a", "0.5", "--t-max", "710"],
     ["chaos", "ct", "--a", "0.5", "--t-max", "800"],
     ["chaos", "ct", "--a", "0.5", "--t-max", "800", "--no-fit"],
@@ -212,7 +218,11 @@ def test_non_finite_or_overflowing_input_is_one_config_error(tmp_path, capsys,
     # failure blamed on the method
     table = tmp_path / "nan.csv"
     table.write_text("t,value\n0,1\n1,nan\n500,1\n")
-    argv = [str(table) if a == "{table}" else a for a in argv]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"energies": {"a": 1}, "re": [[1]],
+                                 "im": [[0]]}))
+    files = {"{table}": str(table), "{state}": str(state)}
+    argv = [files.get(a, a) for a in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_cli(argv)
@@ -568,9 +578,11 @@ def test_config_values_parse_as_flags(tmp_path, capsys, command, cfg, argv,
         assert csv_payload(text) == csv_payload(want)
 
 
-# One (key, value) drawn on a valid argv of each command: a value of the
-# flag's JSON type gives the same outcome as the flag itself, and any other
-# value one ConfigError line.  Counts that allocate or spawn stay small.
+# One to three (key, value) entries drawn on a valid argv of each command:
+# values of the flags' JSON types give the same outcome as the flags
+# themselves, and any other value one ConfigError line.  Several keys reach
+# a value that matters only with another flag (--degree with --signal poly).
+# Counts that allocate or spawn stay small.
 _BASE = {
     "transform": ["--signal", "cos", "--n", "2", "--tau", "0.5",
                   "--samples", "200", "--seed", "1"],
@@ -619,12 +631,14 @@ def _scalar(action):
     return st.one_of(_NUMBERS, _NUMBERS.map(str), st.text(max_size=8))
 
 
-def _pair(leaf):
-    """(key as written, action, value, valid) for one option of ``leaf``."""
+def _entries(leaf):
+    """1-3 ``(key as written, action, (value, valid))`` for distinct options
+    of ``leaf``; only the first may hold a value of the wrong JSON type,
+    since one such value already decides the outcome."""
     actions = [a for a in leaf._actions
                if a.dest not in ("help", "config", "output")]
 
-    def values(action):
+    def values(action, first):
         if action.nargs == 0:  # a switch: true or false
             good = st.booleans()
             wrong = st.one_of(_NUMBERS, st.text(max_size=4), st.none(),
@@ -636,12 +650,17 @@ def _pair(leaf):
                               st.lists(st.none(), min_size=1, max_size=2))
         else:
             good, wrong = _scalar(action), _WRONG
-        return st.one_of(good.map(lambda v: (v, True)),
-                         wrong.map(lambda v: (v, False)))
+        good = good.map(lambda v: (v, True))
+        return st.one_of(good, wrong.map(lambda v: (v, False))) if first else good
 
-    return st.sampled_from(actions).flatmap(
-        lambda a: st.tuples(st.sampled_from([a.dest, a.dest.replace("_", "-")]),
-                            st.just(a), values(a)))
+    def entry(a, first):
+        return st.tuples(st.sampled_from([a.dest, a.dest.replace("_", "-")]),
+                         st.just(a), values(a, first))
+
+    return st.lists(st.sampled_from(actions), min_size=1, max_size=3,
+                    unique_by=lambda a: a.dest).flatmap(
+        lambda chosen: st.tuples(*(entry(a, i == 0)
+                                   for i, a in enumerate(chosen))))
 
 
 @pytest.fixture(scope="module")
@@ -678,27 +697,31 @@ def _payload(text):
 def test_config_entry_equals_its_flag(config_dir, command, data):
     leaf = next(leaf for leaf in cli.build_parser()[1]
                 if leaf.get_default("command_path") == command)
-    key, action, (value, valid) = data.draw(_pair(leaf))
-    steps = {"n", "n_range"}  # one group: the drawn one replaces either
-    dropped = steps if action.dest in steps else {action.dest}
+    entries = data.draw(_entries(leaf))
+    dropped = {action.dest for _, action, _ in entries}
+    steps = {"n", "n_range"}  # one group: a drawn one replaces either
+    if dropped & steps:
+        dropped |= steps
     base = []
     for flag, arg in zip(_BASE[command][::2], _BASE[command][1::2]):
         if flag.lstrip("-").replace("-", "_") not in dropped:
             base += [flag, arg.format(rho=config_dir / "rho.json")]
     words = command.split()
     cfg = config_dir / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
+    cfg.write_text(json.dumps({key: value for key, _, (value, _) in entries}))
     by_config = _invoke(words + base + ["--config", str(cfg)])
-    if not valid:
+    if not all(valid for _, _, (_, valid) in entries):
         assert by_config[0] == 2
         assert by_config[2].startswith("ConfigError: ")
         return
-    flag = action.option_strings[0]
-    if action.nargs == 0:
-        tokens = [flag] if value else []
-    else:
-        items = value if isinstance(value, list) else [value]
-        tokens = [f"{flag}={item}" for item in items]
+    tokens = []
+    for _, action, (value, _) in entries:
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            tokens += [flag] if value else []
+        else:
+            items = value if isinstance(value, list) else [value]
+            tokens += [f"{flag}={item}" for item in items]
     by_flag = _invoke(words + base + tokens)
     assert by_config[0] == by_flag[0] and by_config[2] == by_flag[2]
     if by_flag[0] == 0:
@@ -723,6 +746,27 @@ def test_seed_and_threads_belong_to_transform(config_dir, command, flag,
     code, out, err = _invoke(words + base + ["--config", str(cfg)])
     assert (code, out) == (2, "")
     assert err.startswith(f"ConfigError: unknown config key '{flag[2:]}'")
+
+
+@pytest.mark.parametrize("leaf", cli.build_parser()[1],
+                         ids=lambda leaf: leaf.get_default("command_path"))
+def test_each_leaf_is_declared_once(capsys, leaf):
+    # one declaration gives a leaf its words, its handler and the flags
+    # every leaf shares, in this order, right after --help
+    path = leaf.get_default("command_path")
+    assert path in _BASE
+    assert path == leaf.prog.removeprefix("dtmech ")
+    handler = "_cmd_" + path.replace(" ", "_").replace("-", "_")
+    assert leaf.get_default("handler") is getattr(cli, handler)
+    shared = ["--output", "--format", "--config"]
+    if path.startswith("quantum "):
+        shared.append("--preset")
+    flags = [action.option_strings[0] for action in leaf._actions]
+    assert flags[:len(shared) + 1] == ["-h"] + shared
+    assert main(path.split() + ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: dtmech {path} [-h] ")
+    assert all(f"\n  {flag} " in out for flag in shared)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dtmech.kernel import (
     GammaKernel,
     QuadratureRule,
     StepScheme,
+    TransformResult,
     advection_negativity_probe,
     complex_exponential_signal,
     constant_signal,
@@ -365,7 +366,7 @@ def test_monte_carlo_refuses_a_variance_that_diverges():
     # (1 - g tau)^-3 ...
     est = transform_monte_carlo(exponential_signal(2.0), GammaKernel(3, 0.1),
                                 samples=100_000, seed=1)
-    assert abs(est.estimate - 0.8 ** -3) <= 6 * est.standard_error
+    assert abs(est.value - 0.8 ** -3) <= 6 * est.error
     # ... a declared growth is tilted into the weight, so Monte Carlo
     # averages the bounded e^{-g t} F: where |F|^2 diverges (2 g tau = 1.6
     # and 1.2) the estimate still lies within its error ...
@@ -374,7 +375,7 @@ def test_monte_carlo_refuses_a_variance_that_diverges():
                                     GammaKernel(3, 0.1), samples=100_000,
                                     seed=1)
         exact = (1 - mpmath.mpf(rate) * mpmath.mpf(0.1)) ** -3
-        assert abs(est.estimate - exact) <= est.standard_error
+        assert abs(est.value - exact) <= est.error
     # ... and where an undeclared |F|^2 diverges, the mean still exists
     # (quadrature finds it), but an estimate would land many standard
     # errors below it
@@ -419,7 +420,7 @@ def _tilted_exact(g, tau, n, with_cos):
 def _tilted_transform(signal, ker, route):
     if route == "quadrature":
         return transform_quadrature(signal, ker)[:2]
-    return transform_monte_carlo(signal, ker, samples=2000, seed=ker.n)
+    return transform_monte_carlo(signal, ker, samples=2000, seed=ker.n)[:2]
 
 
 _TILT_CASES = [("quadrature", False), ("monte-carlo", False),
@@ -474,7 +475,7 @@ def test_monte_carlo_averages_the_tilted_cosine():
     assert abs(exact - 16) < 1e-12
     for seed in range(1, 9):
         est = transform_monte_carlo(signal, ker, samples=100_000, seed=seed)
-        assert abs(est.estimate - exact) <= 6 * est.standard_error
+        assert abs(est.value - exact) <= 6 * est.error
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +669,8 @@ def test_monte_carlo_against_exact_moment():
     ker = GammaKernel(6, 0.5)
     est = transform_monte_carlo(monomial_signal(2), ker, samples=40000, seed=3)
     exact = moment_exact(6, 0.5, 2)
-    assert abs(est.estimate - exact) < 4.0 * est.standard_error
-    assert est.standard_error < 0.05 * exact
+    assert abs(est.value - exact) < 4.0 * est.error
+    assert est.error < 0.05 * exact
 
 
 def test_monte_carlo_deterministic_given_seed():
@@ -677,9 +678,12 @@ def test_monte_carlo_deterministic_given_seed():
     sig = cosine_signal(2.0)
     a = transform_monte_carlo(sig, ker, samples=5000, seed=42)
     b = transform_monte_carlo(sig, ker, samples=5000, seed=42)
-    assert a.estimate == b.estimate and a.standard_error == b.standard_error
+    assert a.value == b.value and a.error == b.error
+    # the one result type: node_count reads the sample count on this route
+    assert type(a) is TransformResult
+    assert (a.node_count, a.method) == (5000, "monte-carlo")
     c = transform_monte_carlo(sig, ker, samples=5000, seed=43)
-    assert c.estimate != a.estimate
+    assert c.value != a.value
 
 
 def test_monte_carlo_complex_signal():
@@ -687,7 +691,7 @@ def test_monte_carlo_complex_signal():
     est = transform_monte_carlo(complex_exponential_signal(1.0), ker,
                                 samples=60000, seed=9)
     exact = complex_exp_exact(2, 0.3, 1.0)
-    assert abs(est.estimate - exact) < 4.0 * est.standard_error
+    assert abs(est.value - exact) < 4.0 * est.error
 
 
 def test_monte_carlo_keeps_undeclared_imaginary_part():
@@ -695,9 +699,9 @@ def test_monte_carlo_keeps_undeclared_imaginary_part():
                             growth_rate=0.0)
     est = transform_monte_carlo(sig, GammaKernel(2, 0.5), samples=20000,
                                 seed=5)
-    assert isinstance(est.estimate, complex)
+    assert isinstance(est.value, complex)
     exact = complex_exp_exact(2, 0.5, 1.0)  # 0.48 + 0.64i
-    assert abs(est.estimate - exact) <= 6.0 * est.standard_error
+    assert abs(est.value - exact) <= 6.0 * est.error
 
 
 def test_monte_carlo_columns_equal_scalar_estimates():
@@ -707,13 +711,13 @@ def test_monte_carlo_columns_equal_scalar_estimates():
         growth_rate=0.0)
     sin = kernel.TimeSignal(lambda t: np.sin(1.3 * t), growth_rate=0.0)
     est = transform_monte_carlo(both, ker, samples=5000, seed=17)
-    assert est.estimate.shape == est.standard_error.shape == (2,)
+    assert est.value.shape == est.error.shape == (2,)
     for j, sig in enumerate((cosine_signal(1.3), sin)):
         one = transform_monte_carlo(sig, ker, samples=5000, seed=17)
-        assert type(one.estimate) is float
-        assert type(one.standard_error) is float
-        assert est.estimate[j] == one.estimate
-        assert est.standard_error[j] == one.standard_error
+        assert type(one.value) is float
+        assert type(one.error) is float
+        assert est.value[j] == one.value
+        assert est.error[j] == one.error
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +744,8 @@ def test_complex_values_give_a_complex_monte_carlo_estimate():
     sig = kernel.TimeSignal(lambda t: np.exp(GROWING_PHASE * np.asarray(t)))
     est = transform_monte_carlo(sig, ker, samples=20000, seed=3)
     exact = (1.0 - GROWING_PHASE * ker.tau) ** (-ker.n)
-    assert type(est.estimate) is complex
-    assert abs(est.estimate - exact) <= 6.0 * est.standard_error
+    assert type(est.value) is complex
+    assert abs(est.value - exact) <= 6.0 * est.error
 
 
 def test_real_values_give_a_float_transform():
@@ -749,7 +753,7 @@ def test_real_values_give_a_float_transform():
     for sig in (cosine_signal(2.0), exponential_signal(0.3),
                 kernel.TimeSignal(lambda t: np.sin(np.asarray(t)))):
         assert type(transform_quadrature(sig, ker).value) is float
-        assert type(transform_monte_carlo(sig, ker, 100, 1).estimate) is float
+        assert type(transform_monte_carlo(sig, ker, 100, 1).value) is float
 
 
 # ---------------------------------------------------------------------------
