@@ -286,9 +286,15 @@ def gamma_equivalence_check(dm: DensityMatrix, n: int,
     coeffs = dm.coeffs[live]
     omegas = (dm.energies[:, None] - dm.energies[None, :])[live] / constants.hbar
     phases = -1j * omegas
-    signal = TimeSignal(
-        lambda t: coeffs * np.exp(np.asarray(t)[:, None] * phases),
-        growth_rate=0.0)
+
+    def evaluate(t):
+        # one (m, k) array, exponentiated and scaled in place: a wide
+        # signal at many panel points holds no second copy of it
+        out = np.multiply.outer(np.asarray(t), phases)
+        np.exp(out, out=out)
+        return np.multiply(coeffs, out, out=out)
+
+    signal = TimeSignal(evaluate, growth_rate=0.0)
     res = transform_quadrature(signal, GammaKernel(n, constants.tau))
     return float(np.max(modulus(res.value - evolved[live])))
 

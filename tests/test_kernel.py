@@ -295,16 +295,31 @@ def _spy_rule_sizes(monkeypatch):
 
 
 def test_fast_oscillation_hands_over_to_panels_at_the_node_cap(monkeypatch):
-    # cos at omega tau = 10, n = 1 is still open at 512 nodes: the panels
+    # cos at omega tau = 10, n = 1 is still open at the node cap: the panels
     # give Re (1 - 10i)^-1 = 1/101 without a larger rule
     sizes = _spy_rule_sizes(monkeypatch)
     tau = 0.34
     omega = 10.0 / tau
     res = transform_quadrature(cosine_signal(omega), GammaKernel(1, tau))
-    assert max(sizes) <= 512
+    assert max(sizes) == kernel.MAX_NODE_COUNT
     assert res.method == "adaptive"
     exact = complex_exp_exact(1, tau, omega).real
     assert abs(res.value - exact) <= 1e-9 * abs(exact)
+
+
+def test_oscillation_open_at_256_nodes_goes_to_the_panels(monkeypatch):
+    # cos at omega tau = 2.49, n = 89 is still open at 256 nodes, and no
+    # larger rule is built: the panels resolve Re (1 - 2.49i)^-89 = 3.8e-39
+    # as 0 within an error of about 5e-15, near the absolute floor
+    sizes = _spy_rule_sizes(monkeypatch)
+    tau = 0.31334
+    omega = 2.49 / tau
+    res = transform_quadrature(cosine_signal(omega), GammaKernel(89, tau))
+    assert max(sizes) == 256
+    assert res.method == "adaptive"
+    with mpmath.workdps(40):
+        exact = mpmath.re((1 - 1j * mpmath.mpf(omega) * tau) ** -89)
+    assert abs(res.value - float(exact)) <= res.error
 
 
 def test_smooth_signal_at_large_n_needs_one_doubling(monkeypatch):

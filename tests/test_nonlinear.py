@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from dtmech import nonlinear
 from dtmech import (
     DivergentTransform,
     FitUnstable,
@@ -328,6 +329,23 @@ def test_chirp_stops_doubling_once_roundoff_exceeds_target():
         chirped_sine_expectation(218, 0.5108473307846301, 3.453488645209794)
     panels = int(str(exc.value).split(" panels per leg")[0].rsplit(" ", 1)[1])
     assert panels < 1024
+
+
+def test_chirp_contour_cache_keeps_every_bit():
+    # one (lam, b) family shares its contour paths across n; a warm cache
+    # must give each n the same bits as a cold one, and stay bounded
+    path = nonlinear._contour_path
+    lam = 0.1
+    path.cache_clear()
+    warm = [chirped_sine_expectation(n, lam, B_HALF) for n in range(1, 61)]
+    info = path.cache_info()
+    assert info.hits > 0
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for n, got in enumerate(warm, start=1):
+        path.cache_clear()
+        cold = chirped_sine_expectation(n, lam, B_HALF)
+        assert [x.hex() for x in got[:3]] == [x.hex() for x in cold[:3]]
+        assert got.method == cold.method
 
 
 # ---------------------------------------------------------------------------
