@@ -1,11 +1,12 @@
 r"""Discrete-time classical mechanics: closed-form moments and an ODE route.
 
 Phase-space observables evolve by smearing the continuous trajectory with the
-gamma weight of :mod:`dtmech.kernel`.  For a free particle and a unit harmonic
-oscillator the resulting means and second moments have closed forms; a generic
+gamma weight of :mod:`dtmech.kernel`.  Free particles and harmonic
+oscillators are one linear model, whose smeared means and pair moments obey
+the paper's backward-difference law and so have closed forms; a generic
 first-order field is handled by dense-output integration feeding the same
-transform.  The quadrature route exists precisely to cross-check the closed
-forms, so both produce the same :class:`MomentReport` shape.
+transform.  The quadrature route exists to cross-check the closed forms, so
+both produce the same :class:`MomentReport` shape.
 """
 from __future__ import annotations
 
@@ -70,45 +71,63 @@ class PhaseState:
         return self.positions.size
 
 
-class FreeParticle:
-    """H = sum p_i^2 / 2 m_i: straight-line trajectories, exact closed forms."""
+class _LinearModel:
+    """H = sum p_i^2/2m_i + m_i w_i^2 x_i^2/2, with w_i >= 0 (0: free).
 
-    def trajectory(self, state: PhaseState,
-                   t_max: float = math.inf) -> "Trajectory":
-        x0, p0, m = state.positions, state.momenta, state.masses
-        vel = p0 / m
-
-        def evaluate(t):
-            t = np.asarray(t, dtype=float)[:, None]
-            return x0 + vel * t, np.broadcast_to(p0, (t.shape[0], p0.size)).copy()
-
-        return Trajectory(evaluate, t_max=math.inf)
-
-    def energy(self, x, p, masses):
-        return 0.5 * np.sum(p * p / masses, axis=-1)
-
-
-class HarmonicOscillator:
-    """Unit-mass, unit-frequency oscillators: x = r sin(t + theta).
-
-    The closed-form moment results are stated for m_i = 1, omega = 1; general
-    (mass, frequency) is a rescaling handled by :func:`sho_moments_scaled`.
+    Each coordinate follows ``x = x0 cos wt + (p0/m) sin(wt)/w`` and
+    ``p = p0 cos wt - m w x0 sin wt``, with ``t`` for ``sin(wt)/w`` at 0:
+    ``x = Re(a e^{iwt}) + b t`` and ``p = Re(c e^{iwt})``.
     """
 
+    def __init__(self, omega):
+        self.omega = omega
+
+    def _amplitudes(self, state: PhaseState):
+        """``(w, a, b, c)``, one of each per degree of freedom."""
+        x0, p0, m = state.positions, state.momenta, state.masses
+        w = np.broadcast_to(self.omega, (state.dof,))
+        vel, osc = p0 / m, w > 0
+        a = x0 - 1j * np.divide(vel, w, out=np.zeros_like(vel), where=osc)
+        return w, a, np.where(osc, 0.0, vel), p0 + 1j * m * w * x0
+
     def trajectory(self, state: PhaseState,
                    t_max: float = math.inf) -> "Trajectory":
-        _require_unit_masses(state)
-        r = np.hypot(state.positions, state.momenta)
-        theta = np.arctan2(state.positions, state.momenta)
+        w, a, b, c = self._amplitudes(state)
+        iw = 1j * w
 
         def evaluate(t):
             t = np.asarray(t, dtype=float)[:, None]
-            return r * np.sin(t + theta), r * np.cos(t + theta)
+            phase = np.exp(iw * t)
+            return (a * phase).real + b * t, (c * phase).real
 
         return Trajectory(evaluate, t_max=math.inf)
 
     def energy(self, x, p, masses):
-        return 0.5 * np.sum(x * x + p * p, axis=-1)
+        return 0.5 * np.sum(p * p / masses + masses * (self.omega * x) ** 2,
+                            axis=-1)
+
+
+class FreeParticle(_LinearModel):
+    """H = sum p_i^2 / 2 m_i: straight lines, the linear model at w = 0."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+
+class HarmonicOscillator(_LinearModel):
+    """H = sum p_i^2/2m_i + m_i omega_i^2 x_i^2/2, for any masses.
+
+    ``omega`` is one frequency for every degree of freedom, or a 1-d array
+    of one per degree of freedom; each must be finite and > 0.
+    """
+
+    def __init__(self, omega=1.0):
+        w = np.array(omega, dtype=float)
+        if w.ndim == 0:
+            w = _positive("omega", omega)
+        elif w.ndim > 1 or not np.all((w > 0.0) & (w < math.inf)):
+            raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+        super().__init__(w)
 
 
 class CustomField:
@@ -125,14 +144,6 @@ class CustomField:
 
     def trajectory(self, state: PhaseState, t_max: float) -> "Trajectory":
         return _integrate_field(self.field, state.positions, t_max)
-
-
-def _require_unit_masses(state: PhaseState) -> None:
-    if not np.allclose(state.masses, 1.0, rtol=0.0, atol=1e-12):
-        raise ValueError(
-            "oscillator closed forms assume unit masses; "
-            "rescale general (mass, frequency) via sho_moments_scaled"
-        )
 
 
 class Trajectory:
@@ -270,6 +281,59 @@ class MomentReport:
             yield [n, None, None, "energy", float(self.energy[k])]
 
 
+def _linear_moments(state: PhaseState, kernel: GammaKernel,
+                    omega) -> MomentReport:
+    """Closed-form report of the linear model over ``n = 0..kernel.n``.
+
+    The paper's step is the backward difference, so a smeared ``t^k e^{i nu
+    t}`` is ``tau^k (n)_k (1 - i nu tau)^-(n+k)``.  Each coordinate is
+    written on two such terms, a pair moment on the four products of its
+    coordinates' terms, and each distinct ``(|nu|, k)`` is smeared once,
+    through :func:`~dtmech.kernel._phase_log`.  Only real parts are kept, so
+    a term at ``-nu`` enters as the conjugate coefficient times the term at
+    ``nu``.  Row 0 is the state itself; the energy is ``H(x0, p0)``.
+    """
+    x0, p0, m = state.positions, state.momenta, state.masses
+    l, rows, tau = state.dof, kernel.n + 1, kernel.tau
+    model = _LinearModel(omega)
+    w, a, b, c = model._amplitudes(state)
+    osc = (w > 0)[:, None]
+    # x_i (then p_i) is sum_s coef[., i, s] t^k[i, s] e^{i nu[i, s] t}: the
+    # halves of a e^{iwt} and of its conjugate, or a + b t at w = 0
+    nu, k = np.stack([w, -w], axis=1), np.where(osc, 0, [0, 1])
+    waves = np.transpose([[a, a.conj()], [c, c.conj()]], (0, 2, 1)) / 2
+    lines = np.transpose([[a, b], [c, 0.0 * b]], (0, 2, 1))
+    coef = np.where(osc, waves, lines)
+    iu, ju = np.triu_indices(l)
+    nu2 = (nu[iu, :, None] + nu[ju, None, :]).reshape(-1, 4)
+    k2 = (k[iu, :, None] + k[ju, None, :]).reshape(-1, 4)
+    coef2 = (coef[:, iu, :, None] * coef[:, ju, None, :]).reshape(2, -1, 4)
+    key, term = np.unique(  # (|nu|, k) of every term, as |nu| + i k
+        np.abs(np.append(nu, nu2)) + 1j * np.append(k, k2),
+        return_inverse=True)
+    freq, kk = key.real, key.imag
+    n = np.arange(1.0, rows)[:, None]
+    with np.errstate(over="ignore"):  # nu tau past the largest double
+        rate, angle = _phase_log(freq * tau)
+    smeared = (np.exp(-(n + kk) * rate) * tau ** kk  # k <= 2: (n)_k below
+               * np.where(kk > 0, n, 1.0) * np.where(kk > 1, n + 1.0, 1.0)
+               * np.exp(1j * (n + kk) * angle))[:, term]
+    mean = np.empty((2, rows, l))
+    mean[:, 0] = x0, p0
+    mean[:, 1:] = np.einsum("cis,nis->cni",
+                            np.where(nu < 0, coef.conj(), coef),
+                            smeared[:, :2 * l].reshape(-1, l, 2)).real
+    second = np.empty((2, rows, l, l))
+    second[:, 0] = np.outer(x0, x0), np.outer(p0, p0)
+    second[:, 1:, iu, ju] = second[:, 1:, ju, iu] = np.einsum(
+        "cis,nis->cni", np.where(nu2 < 0, coef2.conj(), coef2),
+        smeared[:, 2 * l:].reshape(-1, iu.size, 4)).real
+    return MomentReport(steps=np.arange(rows), mean_positions=mean[0],
+                        mean_momenta=mean[1], second_positions=second[0],
+                        second_momenta=second[1], energy=np.full(
+                            rows, float(model.energy(x0, p0, m))))
+
+
 @_in_float_range
 def free_particle_moments(state: PhaseState,
                           kernel: GammaKernel) -> MomentReport:
@@ -279,93 +343,24 @@ def free_particle_moments(state: PhaseState,
     ``n tau^2 p_i^2 / m_i^2`` — diffusive spreading with
     ``D_i = p_i^2 tau / m_i^2``; momenta carry no spread at all.
     """
-    n = np.arange(kernel.n + 1)[:, None]
-    tau = kernel.tau
-    x0, p0, m = state.positions, state.momenta, state.masses
-    mean_x = x0 + p0 * n * tau / m
-    mean_p = np.broadcast_to(p0, mean_x.shape).copy()
-    cov = (n * tau * tau)[:, :, None] * np.outer(p0 / m, p0 / m)
-    second_x = mean_x[:, :, None] * mean_x[:, None, :] + cov
-    second_p = np.broadcast_to(np.outer(p0, p0), cov.shape).copy()
-    energy = np.full(n.size, float(np.sum(p0 * p0 / (2.0 * m))))
-    return MomentReport(steps=n[:, 0], mean_positions=mean_x,
-                        mean_momenta=mean_p, second_positions=second_x,
-                        second_momenta=second_p, energy=energy)
+    return _linear_moments(state, kernel, 0.0)
 
 
 @_in_float_range
-def sho_moments(state: PhaseState, kernel: GammaKernel) -> MomentReport:
-    """Closed-form unit-oscillator report over ``n = 0..kernel.n``.
+def sho_moments(state: PhaseState, kernel: GammaKernel,
+                omega=1.0) -> MomentReport:
+    """Closed-form oscillator report over ``n = 0..kernel.n``, for any
+    masses and one frequency ``omega`` or one per degree of freedom.
 
-    With ``r_i = hypot(x_i, p_i)``, ``theta_i = atan2(x_i, p_i)``,
-    ``phi = arctan tau`` and ``phi2 = arctan 2 tau``:
-
-    - means rotate and damp: ``<x_i> = r_i (1+tau^2)^(-n/2) sin(n phi + theta_i)``
-      and the cosine analogue for momenta;
-    - pair moments mix a static and a damped rotating part:
-      ``<x_i x_j> = (r_i r_j / 2)[cos(theta_i - theta_j)
-      - (1+4 tau^2)^(-n/2) cos(n phi2 + theta_i + theta_j)]``,
-      with ``+`` in place of ``-`` for momenta.
-
-    Both reduce to the deterministic values at ``n = 0`` and conserve
-    ``<x_i^2> + <p_i^2> = r_i^2`` exactly.  A zero-amplitude component
-    (``r_i = 0``) has no defined angle; its moments are identically zero,
-    which the formulas deliver on their own via ``atan2(0, 0) = 0``.
-
-    Requires unit masses (the closed forms are stated in those units); use
-    :func:`sho_moments_scaled` for general mass and frequency.
+    Means rotate and damp as ``(1 - i omega tau)^-n``; a pair moment mixes a
+    part at ``omega_i - omega_j`` with a damped one at ``omega_i + omega_j``,
+    so each ``<p_i^2>/m_i + m_i omega_i^2 <x_i^2>`` is conserved.
     """
-    _require_unit_masses(state)
-    n = np.arange(kernel.n + 1)[:, None]
-    tau = kernel.tau
-    r = np.hypot(state.positions, state.momenta)
-    theta = np.arctan2(state.positions, state.momenta)
-    (rate, rate2), (phi, phi2) = _phase_log([tau, 2.0 * tau])
-    damp1 = np.exp(-n * rate)
-    # 2 tau overflows past tau ~ 9e307: the rotating part is gone after a step
-    damp2 = np.exp(-n * rate2) if rate2 < np.inf else (n == 0) * 1.0
-    mean_x = r * damp1 * np.sin(n * phi + theta)
-    mean_p = r * damp1 * np.cos(n * phi + theta)
-    rr = 0.5 * np.outer(r, r)
-    static = np.cos(theta[:, None] - theta[None, :])
-    rot = np.cos(n[:, :, None] * phi2 + theta[:, None] + theta[None, :])
-    second_x = rr * (static - damp2[:, :, None] * rot)
-    second_p = rr * (static + damp2[:, :, None] * rot)
-    energy = np.full(n.size, float(0.5 * np.sum(r * r)))
-    return MomentReport(steps=n[:, 0], mean_positions=mean_x,
-                        mean_momenta=mean_p, second_positions=second_x,
-                        second_momenta=second_p, energy=energy)
+    return _linear_moments(state, kernel, HarmonicOscillator(omega).omega)
 
 
-@_in_float_range
-def sho_moments_scaled(state: PhaseState, kernel: GammaKernel,
-                       omega: float = 1.0) -> MomentReport:
-    """Oscillator report for general masses and a common frequency, over
-    ``n = 0..kernel.n``.
-
-    H = sum p_i^2/2m_i + m_i omega^2 x_i^2 / 2.  Rescaling
-    ``X = x sqrt(m omega)``, ``P = p / sqrt(m omega)`` and measuring time in
-    units of ``1/omega`` (so the time quantum becomes ``omega tau``) reduces
-    the system to the unit form; the report is mapped back afterwards.
-    Different frequencies per component are not supported — the cross-moment
-    closed form is only established for a common frequency.
-    """
-    omega = _positive("omega", omega)
-    scale = np.sqrt(state.masses * omega)
-    unit_state = PhaseState(state.positions * scale, state.momenta / scale,
-                            np.ones(state.dof))
-    unit_kernel = GammaKernel(kernel.n, kernel.tau * omega)
-    rep = sho_moments(unit_state, unit_kernel)
-    inv = 1.0 / scale
-    mean_x = rep.mean_positions * inv
-    mean_p = rep.mean_momenta * scale
-    second_x = rep.second_positions * np.outer(inv, inv)
-    second_p = rep.second_momenta * np.outer(scale, scale)
-    # H = omega * (unit-system energy), constant over n
-    energy = rep.energy * omega
-    return MomentReport(steps=rep.steps, mean_positions=mean_x,
-                        mean_momenta=mean_p, second_positions=second_x,
-                        second_momenta=second_p, energy=energy)
+#: The rescaling route's former name: :func:`sho_moments` takes any masses.
+sho_moments_scaled = sho_moments
 
 
 # ---------------------------------------------------------------------------

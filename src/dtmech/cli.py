@@ -49,6 +49,7 @@ inputs are bare numbers and unit suffixes are rejected instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -60,7 +61,7 @@ import numpy as np
 from . import __version__
 from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         free_particle_moments, quadrature_moments,
-                        sho_moments_scaled)
+                        sho_moments)
 from .errors import NumericalError
 from .kernel import (DEFAULT_ERROR_TARGET, FIRST_NODE_COUNT, GammaKernel,
                      QuadratureRule, StepScheme, _positive, _step_count,
@@ -256,19 +257,15 @@ def _cmd_classical(args):
     kern = GammaKernel(args.n, args.tau)
 
     if args.model == "free":
-        if args.route == "closed":
-            report = free_particle_moments(state, kern)
-        else:
-            report = quadrature_moments(FreeParticle(), state, kern)
+        if args.omega is not None:
+            raise ConfigError("--omega applies to --model oscillator only")
+        model, closed = FreeParticle(), free_particle_moments
     else:
-        if args.route == "closed":
-            report = sho_moments_scaled(state, kern, omega=args.omega)
-        else:
-            if args.omega != 1.0:
-                raise ConfigError("the quadrature route supports omega = 1 "
-                                  "only; use --route closed for scaled "
-                                  "oscillators")
-            report = quadrature_moments(HarmonicOscillator(), state, kern)
+        omega = 1.0 if args.omega is None else args.omega
+        model = HarmonicOscillator(omega)
+        closed = functools.partial(sho_moments, omega=omega)
+    report = (closed(state, kern) if args.route == "closed"
+              else quadrature_moments(model, state, kern))
 
     columns = ["n", "i", "j", "moment", "value"]
     rows = list(report.rows())
@@ -522,8 +519,9 @@ def build_parser() -> tuple[_Parser, list]:
     c.add_argument("--p", required=True, help="comma-separated momenta")
     c.add_argument("--mass", default=None,
                    help="comma-separated masses (default all 1)")
-    c.add_argument("--omega", type=float, default=1.0,
-                   help="common oscillator frequency (default 1)")
+    c.add_argument("--omega", type=float, default=None,
+                   help="oscillator frequency, common to every degree of "
+                        "freedom (default 1)")
     c.add_argument("--n", type=int, required=True,
                    help="report steps 0..n")
     c.add_argument("--tau", type=float, default=1.0)

@@ -17,11 +17,13 @@ from dtmech import (
     TimeSignal,
     evolve_observable,
     free_particle_moments,
+    observable_signal,
     quadrature_moments,
     sho_moments,
     sho_moments_scaled,
     transform_quadrature,
 )
+from dtmech.kernel import screening_horizon
 
 # ---------------------------------------------------------------------------
 # states
@@ -178,12 +180,6 @@ def test_sho_zero_amplitude_component_is_quiet():
     # the all-zero state is handled too
     rep0 = sho_moments(PhaseState([0.0], [0.0], [1.0]), GammaKernel(5, 1.0))
     np.testing.assert_array_equal(rep0.second_momenta, 0.0)
-
-
-def test_sho_requires_unit_masses():
-    s = PhaseState([1.0], [0.0], [2.0])
-    with pytest.raises(ValueError, match="unit masses"):
-        sho_moments(s, GammaKernel(3, 0.5))
 
 
 def test_sho_continuum_limit_tracks_continuous_motion():
@@ -470,26 +466,30 @@ _COORD = st.floats(-2.0, 2.0)
 
 @st.composite
 def _moment_cases(draw):
-    """(oscillator?, state, tau, steps): dof 1-3, |x|, |p| <= 2, 1 <= N <= 30;
-    free particles get masses in [0.5, 3], oscillators unit masses."""
+    """(omega, state, tau, steps): dof 1-3, |x|, |p| <= 2, masses in
+    [0.5, 3], 1 <= N <= 30; omega is None for free particles, else one
+    oscillator frequency in [0.2, 3] per degree of freedom."""
     dof = draw(st.integers(1, 3))
-    oscillator = draw(st.booleans())
     coords = st.lists(_COORD, min_size=dof, max_size=dof)
-    masses = ([1.0] * dof if oscillator else
-              draw(st.lists(st.floats(0.5, 3.0), min_size=dof, max_size=dof)))
+    omega = draw(st.none() | st.lists(st.floats(0.2, 3.0), min_size=dof,
+                                      max_size=dof))
+    masses = draw(st.lists(st.floats(0.5, 3.0), min_size=dof, max_size=dof))
     state = PhaseState(draw(coords), draw(coords), masses)
     tau, steps = draw(st.floats(0.05, 0.5)), draw(st.integers(1, 30))
-    return oscillator, state, tau, steps
+    return omega, state, tau, steps
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(_moment_cases())
 def test_quadrature_moments_match_closed_forms_on_random_states(case):
-    oscillator, state, tau, steps = case
+    # the closed forms within the quadrature's relative target (1e-10)
+    omega, state, tau, steps = case
     kernel = GammaKernel(steps, tau)
-    model, closed = ((HarmonicOscillator(), sho_moments) if oscillator
-                     else (FreeParticle(), free_particle_moments))
-    want = closed(state, kernel)
+    if omega is None:
+        model, want = FreeParticle(), free_particle_moments(state, kernel)
+    else:
+        model = HarmonicOscillator(omega)
+        want = sho_moments(state, kernel, omega)
     got = quadrature_moments(model, state, kernel)
     for name in ("mean_positions", "mean_momenta", "second_positions",
                  "second_momenta", "energy"):
@@ -497,6 +497,91 @@ def test_quadrature_moments_match_closed_forms_on_random_states(case):
         assert routed.shape == exact.shape
         assert np.all(np.abs(routed - exact)
                       <= 1e-10 * np.maximum(1.0, np.abs(exact))), name
+
+
+# ---------------------------------------------------------------------------
+# the paper's law: the backward difference of a smeared observable is the
+# smeared derivative, T[f](n) - T[f](n-1) = tau T[f'](n), with T[f](0) = f(0)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 1.5, [0.7, 2.0]], ids=str)
+def test_closed_row_0_is_the_state_bit_for_bit(omega):
+    # the smearing at n = 0 is the identity; at omega = 1 the rescaling
+    # route once gave <p_0> = <p_0 p_1> = 1.2e-16 and H = 1.5000000000000002
+    s = PhaseState([1.0, 0.0], [0.0, 1.0], [2.0, 1.0])
+    k = GammaKernel(3, 0.25)
+    if omega == 0.0:
+        rep, model = free_particle_moments(s, k), FreeParticle()
+    else:
+        rep, model = sho_moments(s, k, omega), HarmonicOscillator(omega)
+    np.testing.assert_array_equal(rep.mean_positions[0], s.positions)
+    np.testing.assert_array_equal(rep.mean_momenta[0], s.momenta)
+    np.testing.assert_array_equal(rep.second_positions[0],
+                                  np.outer(s.positions, s.positions))
+    np.testing.assert_array_equal(rep.second_momenta[0],
+                                  np.outer(s.momenta, s.momenta))
+    np.testing.assert_array_equal(
+        rep.energy, model.energy(s.positions, s.momenta, s.masses))
+    if omega == 1.0:
+        assert rep.energy[0] == 1.5
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dof: st.tuples(
+    *[st.lists(v, min_size=dof, max_size=dof) for v in (
+        _COORD, _COORD, st.floats(0.5, 3.0),
+        st.just(0.0) | st.floats(0.2, 3.0))])),
+       st.floats(0.05, 1.0), st.integers(1, 40))
+def test_closed_means_obey_the_backward_difference_law(coords, tau, steps):
+    # x' = p/m and p' = -m w^2 x, so (x_n - x_{n-1})/tau = p_n/m and
+    # (p_n - p_{n-1})/tau = -m w^2 x_n; w = 0 is a free coordinate.  Both
+    # hold in exact arithmetic, so the bound is 16 ulps of each side's
+    # scale: about 8 from rounding the coefficients, the products and the
+    # sums of two terms, and at most 4 more from rounding the exponents
+    # (n+k) rate and (n+k) angle, which moves a term by
+    # (n+k)(rate + |angle|) eps |term| -- under 4 eps of its scale for
+    # n <= 40 and w tau in [0, 3] (largest near w tau = 0.1)
+    x0, p0, m, w = map(np.array, coords)
+    rep = classical._linear_moments(PhaseState(x0, p0, m),
+                                    GammaKernel(steps, tau), w)
+    x, p = rep.mean_positions, rep.mean_momenta
+    eps = np.finfo(float).eps
+    for residual, a, b in (
+            ((x[1:] - x[:-1]) - tau * p[1:] / m, x, tau * p / m),
+            ((p[1:] - p[:-1]) + tau * m * w * w * x[1:], p,
+             tau * m * w * w * x)):
+        scale = np.maximum(np.abs(a), np.abs(b)).max(axis=0)
+        assert np.all(np.abs(residual) <= 16 * eps * scale)
+
+
+@pytest.mark.parametrize("steps, tau", [(5, 0.5), (150, 0.1)])
+def test_rotation_field_obeys_the_backward_difference_law(steps, tau):
+    # x0' = x1, x1' = -x0 from (0, 1): the ODE route has no closed form to
+    # lean on, only the law.  Each smeared value lies within its reported
+    # quadrature error of the transform of the solved trajectory, and a
+    # trajectory error of at most delta moves it by at most delta, the
+    # weight being a probability density.  The residual x_n - x_{n-1} -
+    # tau y_n combines three values with weights 1, 1 and tau, so it is
+    # bounded by their three reported errors plus (2 + tau) delta, with
+    # delta the solver's tolerance at |y| = 1, ODE_TOLERANCE (1 + 1/100)
+    model = CustomField(lambda x: np.array([x[1], -x[0]]))
+    s = PhaseState([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    kernel = GammaKernel(steps, tau)
+    signal = observable_signal(
+        model.trajectory(s, t_max=screening_horizon(kernel)), lambda x, p: x)
+    results = [transform_quadrature(signal, GammaKernel(n, tau))
+               for n in range(1, steps + 1)]
+    values = np.vstack([s.positions, [r.value for r in results]])
+    errors = np.vstack([[0.0, 0.0], [r.error for r in results]])
+    np.testing.assert_array_equal(
+        values, evolve_observable(model, s, lambda x, p: x, kernel))
+    delta = classical.ODE_TOLERANCE * (1 + 1e-2)
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        j = 1 - i
+        residual = values[1:, i] - values[:-1, i] + sign * tau * values[1:, j]
+        bound = (errors[1:, i] + errors[:-1, i] + tau * errors[1:, j]
+                 + (2 + tau) * delta)
+        assert np.all(np.abs(residual) <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,10 @@ _TRANSFORM = ["transform", "--n", "3", "--tau", "0.5"]
      "--n", "2", "--tau", "1"],
     ["classical", "--model", "oscillator", "--route", "quadrature",
      "--x", "1e300", "--p", "1e300", "--n", "2", "--tau", "1"],
+    # a frequency the free model has no use for, instead of ignoring it
+    ["classical", "--model", "free", "--omega", "nan", "--x", "1", "--p", "0",
+     "--n", "2"],
+    ["classical", "--omega", "-3", "--x", "1", "--p", "0", "--n", "2"],
     # quantity literals past the largest double, as written or once scaled
     ["quantum", "td", "--delta-e", "1e400"],
     ["quantum", "td", "--preset", "si-planck", "--delta-e", "1e400J"],
@@ -549,6 +553,7 @@ def test_missing_config_file_exits_2(capsys):
     ("transform", {"signal": "cos", "n": 2.5}, [], None),
     ("alpha-scan", {"n_max": 2.5, "alphas": "0.5"}, [], None),
     ("classical", {"n": 2.5, "x": "1", "p": "0"}, [], None),
+    ("classical", {"n": 2, "x": "1", "p": "0", "omega": 2}, [], None),
     ("chaos ct", {"a": 0.5, "t_max": 14, "no_fit": "false"}, [], None),
     ("transform", {"signal": "cos", "n": 3}, ["--n-range", "1:2"], None),
     # a key of another command, and two that name no value
@@ -805,9 +810,13 @@ def test_classical_two_particle_pair_columns(tmp_path):
     assert float(pair[0][4]) == pytest.approx(expect, rel=1e-12)
 
 
-def test_classical_quadrature_route_matches_closed(tmp_path):
-    base = ["classical", "--model", "free", "--x", "1", "--p", "0.5",
-            "--n", "3", "--tau", "0.4"]
+@pytest.mark.parametrize("base", [
+    ["classical", "--model", "free", "--x", "1", "--p", "0.5", "--n", "3",
+     "--tau", "0.4"],
+    ["classical", "--model", "oscillator", "--x", "1,0", "--p", "0,1",
+     "--mass", "2,1", "--omega", "1.5", "--n", "20", "--tau", "0.25"],
+], ids=lambda argv: argv[2])
+def test_classical_quadrature_route_matches_closed(tmp_path, base):
     _, closed = run_cli(base + ["--route", "closed"], tmp_path, "c.csv")
     _, quad = run_cli(base + ["--route", "quadrature"], tmp_path, "q.csv")
     _, rc = payload_rows(closed)
@@ -816,6 +825,23 @@ def test_classical_quadrature_route_matches_closed(tmp_path):
     for a, b in zip(rc, rq):
         assert a[:4] == b[:4]
         assert float(a[4]) == pytest.approx(float(b[4]), rel=1e-6, abs=1e-9)
+
+
+def test_classical_row_0_is_the_state(tmp_path):
+    # once 1.2246467991473535e-16 for <p_0> and <p_0 p_1>, and
+    # 1.5000000000000002 for the energy
+    code, text = run_cli(["classical", "--model", "oscillator", "--x", "1,0",
+                          "--p", "0,1", "--mass", "2,1", "--n", "3",
+                          "--tau", "0.25", "--format", "json"], tmp_path)
+    assert code == 0
+    rows = json.loads(text)["data"]["rows"]
+    assert [r[1:] for r in rows if r[0] == 0] == [
+        [0, None, "mean_x", 1.0], [1, None, "mean_x", 0.0],
+        [0, None, "mean_p", 0.0], [1, None, "mean_p", 1.0],
+        [0, 0, "second_x", 1.0], [0, 1, "second_x", 0.0],
+        [1, 1, "second_x", 0.0], [0, 0, "second_p", 0.0],
+        [0, 1, "second_p", 0.0], [1, 1, "second_p", 1.0],
+        [None, None, "energy", 1.5]]
 
 
 _CLASSICAL_REPORTS = {
