@@ -74,25 +74,28 @@ def legendre_panels(panels: int, length: float):
 def refine(estimate, size: int, limit: int, rel: float, floor: float = 0.0):
     """Double a rule's size until every column is kept, or up to ``limit``.
 
-    ``estimate(size)`` returns the columns' values (0-d for a scalar) and the
-    part of their errors that more resolution cannot shrink: the rounding of
-    the sums, and a bound on what the rule leaves out.  A column is kept, as
-    a scalar run would keep it, at the first doubling where its spread
-    against the size before plus that part is at most
+    ``estimate(size, open_)`` returns the columns' values (0-d for a scalar)
+    and the part of their errors that more resolution cannot shrink: the
+    rounding of the sums, and a bound on what the rule leaves out.
+    ``open_`` marks the columns still open (it is ``True`` at the first
+    call, when all are); the values of the others are never read, so an
+    estimate may skip them.  A column is kept, as a scalar run would keep
+    it, at the first doubling where its spread against the size before
+    plus that part is at most
     ``max(rel |value|, floor)``: that sum is its error, which must be finite,
     so an overflowing column is never kept.  It is given up once
     the spread is below that part and the part alone exceeds the target.
     Returns values, errors, the size each column was kept at (0 where none
     was; value and error are then the last ones) and the last size tried.
     """
-    prev = np.asarray(estimate(size)[0])
+    prev = np.asarray(estimate(size, True)[0])
     value = prev.copy()
     error = np.full(prev.shape, np.inf)
     kept = np.zeros(prev.shape, dtype=int)
     open_ = np.ones(prev.shape, dtype=bool)
     while size < limit and open_.any():
         size *= 2
-        cur, fixed = estimate(size)
+        cur, fixed = estimate(size, open_)
         with np.errstate(over="ignore", invalid="ignore"):
             spread = modulus(cur - prev)
             err = spread + fixed

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StiffnessFailure
-from .kernel import (GammaKernel, TimeSignal, _phase_log, _positive,
-                     screening_horizon, transform_quadrature)
+from .kernel import (DEFAULT_ERROR_TARGET, GammaKernel, TimeSignal,
+                     _phase_log, _positive, _transform_steps,
+                     screening_horizon)
 
 __all__ = [
     "PhaseState",
@@ -312,10 +313,16 @@ def _linear_moments(state: PhaseState, kernel: GammaKernel,
         np.abs(np.append(nu, nu2)) + 1j * np.append(k, k2),
         return_inverse=True)
     freq, kk = key.real, key.imag
+    # a term whose every coefficient is exactly 0 (t and t^2 for a particle
+    # at rest) is smeared without its tau^k, which could overflow into
+    # 0 * inf; its part of each moment stays an exact 0
+    used = np.zeros(key.size, dtype=bool)
+    used[term[np.append(coef.any(axis=0), coef2.any(axis=0))]] = True
     n = np.arange(1.0, rows)[:, None]
     with np.errstate(over="ignore"):  # nu tau past the largest double
         rate, angle = _phase_log(freq * tau)
-    smeared = (np.exp(-(n + kk) * rate) * tau ** kk  # k <= 2: (n)_k below
+    smeared = (np.exp(-(n + kk) * rate)
+               * tau ** np.where(used, kk, 0.0)  # k <= 2: (n)_k below
                * np.where(kk > 0, n, 1.0) * np.where(kk > 1, n + 1.0, 1.0)
                * np.exp(1j * (n + kk) * angle))[:, term]
     mean = np.empty((2, rows, l))
@@ -394,17 +401,23 @@ def evolve_observable(model, state: PhaseState, func,
     A row holds ``k`` entries when ``func`` returns ``k`` columns.
     The trajectory is solved once, out to the screening horizon of the last
     step count: no transform, screening probe, live Gauss--Laguerre node or
-    fallback panel reaches further, so it is never re-solved.
+    fallback panel reaches further, so it is never re-solved.  Rows 1..N
+    come from shared transform passes over the step counts
+    (:func:`~dtmech.kernel._transform_steps`, up to
+    :data:`~dtmech.kernel._BATCH_STEPS` of them a pass): each row is what
+    :func:`~dtmech.kernel.transform_quadrature` gives at its ``n``, but the
+    screening probes, and the nodes of each doubling level, of a pass's
+    rows share signal calls of at most :data:`~dtmech.kernel._BATCH_POINTS`
+    times, so ``func`` is called a few times per level, not once per row.
     """
     trajectory = model.trajectory(state, t_max=screening_horizon(kernel))
     signal = observable_signal(trajectory, func)
     x0 = state.positions[None, :]
     p0 = state.momenta[None, :]
-    values = [np.asarray(func(x0, p0), dtype=float)[0]]
-    for n in range(1, kernel.n + 1):
-        values.append(
-            transform_quadrature(signal, GammaKernel(n, kernel.tau)).value)
-    return np.asarray(values, dtype=float)
+    results = _transform_steps(signal, range(1, kernel.n + 1), kernel.tau,
+                               DEFAULT_ERROR_TARGET)
+    return np.asarray([np.asarray(func(x0, p0), dtype=float)[0],
+                       *(r.value for r in results)], dtype=float)
 
 
 def quadrature_moments(model, state: PhaseState,
@@ -414,8 +427,11 @@ def quadrature_moments(model, state: PhaseState,
 
     Exists to cross-check the closed forms: every mean and pair moment is a
     gamma transform of the corresponding product along the continuous
-    trajectory.  All of them (and the energy) are columns of one signal, so
-    each step count costs one transform.
+    trajectory.  All of them (and the energy) are columns of one signal,
+    which :func:`evolve_observable` transforms at every step count in
+    shared passes: a signal call serves several step counts, up to
+    :data:`~dtmech.kernel._BATCH_POINTS` times, so a wide report needs
+    hardly more memory than one transform at the node cap.
     """
     n_values = np.arange(kernel.n + 1)
     l = state.dof

@@ -64,12 +64,12 @@ from .classical import (FreeParticle, HarmonicOscillator, PhaseState,
                         sho_moments)
 from .errors import NumericalError
 from .kernel import (DEFAULT_ERROR_TARGET, FIRST_NODE_COUNT, GammaKernel,
-                     QuadratureRule, StepScheme, _positive, _step_count,
+                     StepScheme, _positive, _step_count, _transform_steps,
                      advection_negativity_probe,
                      complex_exponential_signal, constant_signal,
                      cosine_signal, exponential_signal, monomial_signal,
                      scheme_delta_coefficient, tabulated_signal,
-                     transform_monte_carlo, transform_quadrature)
+                     transform_monte_carlo)
 from .nonlinear import (SensitivityModel, _dt_window_fit, ct_distance,
                         ct_lyapunov, dt_sensitivity)
 from .quantum import (ELECTRON_VOLT, NATURAL, SECONDS_PER_YEAR, SI_PLANCK,
@@ -212,7 +212,10 @@ def _cmd_transform(args):
     steps = _step_list(args)
     tau = args.tau
 
-    if args.method == "monte-carlo":
+    if args.method == "quadrature":
+        # shared passes over the step counts, as the classical reports use
+        results = _transform_steps(signal, steps, tau, args.error_target)
+    else:
         if args.seed is None:
             # draw one, and surface it in the metadata for reruns
             args.seed = int.from_bytes(os.urandom(8), "big")
@@ -224,19 +227,12 @@ def _cmd_transform(args):
         # each step count draws from its own generator, so the rows do not
         # depend on how many threads share them
         workers = min(args.threads, len(steps), os.cpu_count() or 1)
-    else:
-        def one(n):
-            kern = GammaKernel(n, tau)
-            return transform_quadrature(
-                signal, kern, QuadratureRule.for_kernel(kern, args.error_target))
-
-        workers = 1
-    if workers == 1:
-        results = [one(n) for n in steps]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, steps))
+        if workers == 1:
+            results = [one(n) for n in steps]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(one, steps))
 
     cexp = args.signal == "cexp"  # the one complex signal: split columns
     values = ["value_re", "value_im"] if cexp else ["value"]

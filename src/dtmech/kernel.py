@@ -79,6 +79,22 @@ MAX_NODE_COUNT = 256
 #: Default relative target of node doubling and the panel fallback.
 DEFAULT_ERROR_TARGET = 1e-10
 
+#: Most time points one signal call evaluates when the step counts of a
+#: range share calls (screening probes and live Gauss--Laguerre nodes).  It
+#: is MAX_NODE_COUNT, the largest doubling call a single step count makes,
+#: so a signal with hundreds of columns holds no larger array at once over
+#: a range than one n may at the node cap; and a few hundred points
+#: already spread a call's fixed cost, which is what sharing saves.
+_BATCH_POINTS = MAX_NODE_COUNT
+
+#: Most step counts one shared pass covers; a longer range is cut into
+#: passes of this many.  A pass keeps about ten (steps x columns) arrays of
+#: doubling state, about 1 MB at the 461 columns of a 20-degree-of-freedom
+#: moment report, and 32 step counts still fill four calls of
+#: _BATCH_POINTS at the first node count; on the benchmark's moment reports
+#: larger passes ran within 5% of its time.
+_BATCH_STEPS = 32
+
 
 @dataclass(frozen=True)
 class GammaKernel:
@@ -94,6 +110,9 @@ class GammaKernel:
     tau: float
 
     def __post_init__(self):
+        if np.ndim(self.n) != 0:
+            raise ValueError(
+                f"step count n must be a single integer, got {self.n!r}")
         object.__setattr__(self, "n", _step_count(self.n, 1))
         object.__setattr__(self, "tau", _positive("time quantum tau", self.tau))
 
@@ -398,37 +417,71 @@ def screening_horizon(kernel: GammaKernel) -> float:
     return kernel.tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
 
 
-def _screen_convergence(signal: TimeSignal, kernel: GammaKernel,
+def _evaluate_blocks(evaluate, times, reduce) -> list:
+    """``[reduce(i, evaluate(times[i])) for each i]``, with consecutive time
+    arrays sharing one signal call of at most :data:`_BATCH_POINTS` points
+    (an array longer than that gets a call of its own).
+
+    Each ``reduce`` sees only its own rows, so a signal whose rows depend on
+    their own times alone gives every ``i`` the values of a call of its own.
+    """
+    out, start = [], 0
+    while start < len(times):
+        stop, size = start + 1, times[start].size
+        while stop < len(times) and size + times[stop].size <= _BATCH_POINTS:
+            size += times[stop].size
+            stop += 1
+        block = times[start:stop]
+        values = np.asarray(evaluate(
+            block[0] if len(block) == 1 else np.concatenate(block)))
+        offset = 0
+        for i in range(start, stop):
+            out.append(reduce(i, values[offset:offset + times[i].size]))
+            offset += times[i].size
+        start = stop
+    return out
+
+
+def _screen_convergence(signal: TimeSignal, kernels: list,
                         what: str, power: int) -> None:
     """Reject a signal without a declared growth rate for which ``what``,
-    the smearing integral of ``|F|^power``, cannot converge.
+    the smearing integral of ``|F|^power``, cannot converge at one of
+    ``kernels``; the first such kernel is named.
 
     The integrand's log-magnitude is probed at ``u* = n + 10 sqrt(n) + 50``
     and at twice that; if the far window still dominates, the tail is
     growing and the transform is refused as suspected divergence.  A signal
-    with several columns is refused if any one of them grows.
+    with several columns is refused if any one of them grows.  The probes
+    of all kernels share signal calls (:func:`_evaluate_blocks`).
     """
-    n, tau = kernel.n, kernel.tau
-    t_end = screening_horizon(kernel)
-    width = tau * np.array([0.0, 0.5, 1.0])
+    width = np.array([0.0, 0.5, 1.0])
+    probes = []
+    for kernel in kernels:
+        t_end, w = screening_horizon(kernel), kernel.tau * width
+        probes.append(np.concatenate([t_end - w,
+                                      0.5 * (t_end - kernel.tau) + w]))
 
-    def window_max(t):
-        u = t / tau
-        f = np.abs(np.asarray(signal.evaluate(t), dtype=complex))
+    def grows(i, values):
+        n, u = kernels[i].n, probes[i] / kernels[i].tau
+        f = np.abs(np.asarray(values, dtype=complex))
         with np.errstate(divide="ignore"):
-            return np.max(as_rows((n - 1) * np.log(u) - u, f) + power * np.log(f),
-                          axis=0)
+            size = as_rows((n - 1) * np.log(u) - u, f) + power * np.log(f)
+        return np.any(np.max(size[:3], axis=0) > np.max(size[3:], axis=0))
 
-    if np.any(window_max(t_end - width) > window_max(0.5 * (t_end - tau) + width)):
-        raise DivergentTransform(
-            f"{what}: the undeclared signal still grows against the weight "
-            f"at u ~ {t_end / tau:.0f} (n={n}, tau={tau}); suspected divergence")
+    for kernel, bad in zip(kernels, _evaluate_blocks(signal.evaluate, probes,
+                                                     grows)):
+        if bad:
+            raise DivergentTransform(
+                f"{what}: the undeclared signal still grows against the "
+                f"weight at u ~ {screening_horizon(kernel) / kernel.tau:.0f} "
+                f"(n={kernel.n}, tau={kernel.tau}); suspected divergence")
 
 
-def _tilt(signal: TimeSignal, kernel: GammaKernel,
+def _tilt(signal: TimeSignal, kernels: list,
           what: str = "the smearing integral", power: int = 1):
-    """Screen ``signal`` at ``kernel`` and tilt a declared growth ``e^{g t}``,
-    ``g > 0``, into the weight: the one change of measure of both routes.
+    """Screen ``signal`` at ``kernels``, which share one ``tau``, and tilt a
+    declared growth ``e^{g t}``, ``g > 0``, into the weight: the one change
+    of measure of both routes.
 
     A declared rate needs ``g tau < 1`` (:func:`_growth`); an undeclared
     signal goes to the probe of ``|F|^power``.  ``F = e^{g t} H`` smeared at
@@ -438,34 +491,46 @@ def _tilt(signal: TimeSignal, kernel: GammaKernel,
     bound ``P(U >= x) <= (x/n)^n e^{n - x}`` at ``x = t_max / tau'`` shows
     that this drops less than eps of the weight.  A larger mass, or a
     prefactor past the largest double, is refused: ``ValueError``, "leaves
-    the float range".
+    the float range", at the first kernel it concerns.
 
-    Returns ``(evaluate, kernel, prefactor)``: ``H``, the kernel at ``tau'``
-    and a function that scales a value and its error by ``(1 - g tau)^-n``
-    and adds ``4 eps (1 + n / (1 - g tau)) |value|`` to the error: the
-    rounding of ``1 - g tau`` raised to the n-th power, and of ``g t`` at
-    the bulk ``t ~ n tau'``.  Other signals come back unchanged.
+    Returns ``(evaluate, kernels, prefactors)``: ``H``, the kernels at
+    ``tau'`` and, per kernel, a function that scales a value and its error
+    by ``(1 - g tau)^-n`` and adds ``4 eps (1 + n / (1 - g tau)) |value|``
+    to the error: the rounding of ``1 - g tau`` raised to the n-th power,
+    and of ``g t`` at the bulk ``t ~ n tau'``.  Other signals come back
+    unchanged.
     """
-    g, n, tau = signal.growth_rate, kernel.n, kernel.tau
+    g, tau = signal.growth_rate, kernels[0].tau
     label = f"the smearing integral at growth rate {g} and tau={tau}"
     if g is None:
-        _screen_convergence(signal, kernel, what, power)
+        _screen_convergence(signal, kernels, what, power)
     else:
         shrink = _growth(g * tau, label)
     if g is None or g <= 0.0:
-        return signal.evaluate, kernel, lambda value, error: (value, error)
-    try:
-        factor = shrink ** -float(n)
-    except OverflowError:
-        factor = math.inf
+        return signal.evaluate, kernels, [_unscaled] * len(kernels)
     z = g * tau
     # t_max / tau': where the tilted gamma(n) clock reaches the overflow
     x = LOG_MAX_DOUBLE * shrink / z if z > 0.0 else math.inf
-    if factor == math.inf or not (math.isinf(x) or (
-            x > n and n * math.log(x / n) + n - x < math.log(EPS))):
-        raise ValueError(f"{label} leaves the float range")
     t_max = LOG_MAX_DOUBLE / g
-    rounding = 4.0 * EPS * (1.0 + n / shrink)
+
+    def prefactor(n):
+        try:
+            factor = shrink ** -float(n)
+        except OverflowError:
+            factor = math.inf
+        if factor == math.inf or not (math.isinf(x) or (
+                x > n and n * math.log(x / n) + n - x < math.log(EPS))):
+            raise ValueError(f"{label} leaves the float range")
+        rounding = 4.0 * EPS * (1.0 + n / shrink)
+
+        def scale(value, error):
+            value = value * factor
+            if not np.isfinite(value).all():
+                raise ValueError(
+                    f"{label}: the smeared value leaves the float range")
+            return value, error * factor + rounding * abs(value)
+
+        return scale
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
@@ -474,13 +539,14 @@ def _tilt(signal: TimeSignal, kernel: GammaKernel,
             vals = vals * as_rows(np.exp(-g * t), vals)
         return np.where(as_rows(t <= t_max, vals), vals, 0.0)
 
-    def prefactor(value, error):
-        value = value * factor
-        if not np.isfinite(value).all():
-            raise ValueError(f"{label}: the smeared value leaves the float range")
-        return value, error * factor + rounding * abs(value)
+    prefactors = [prefactor(kernel.n) for kernel in kernels]
+    tilted = [GammaKernel(kernel.n, tau / shrink) for kernel in kernels]
+    return evaluate, tilted, prefactors
 
-    return evaluate, GammaKernel(n, tau / shrink), prefactor
+
+def _unscaled(value, error):
+    """The prefactor of an untilted transform: value and error as they are."""
+    return value, error
 
 
 def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
@@ -498,35 +564,96 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     more to build than the panels cost to sum — are summed together over
     Gauss--Legendre panels on ``u`` in [0, U(n)], the screening window,
     before giving up.
+
+    This is the pass of :func:`_transform_steps` at one step count; callers
+    that walk a range of ``n`` use that pass, which shares the signal calls
+    of all of them and gives each the value this function would.
     """
-    evaluate, kernel, prefactor = _tilt(signal, kernel)
     if rule is None:
         rule = QuadratureRule.for_kernel(kernel)
     elif rule.step_count != kernel.n:
         raise ValueError(
             f"rule was built for step count {rule.step_count}, kernel has {kernel.n}"
         )
-    rel = rule.error_target
+    return _transform_batch(signal, [kernel], rule.error_target)[0]
 
-    def laguerre(m):
-        nodes, weights = _laguerre_rule(m, kernel.n - 1)
-        # far nodes whose weights underflow to 0 contribute nothing; skipping
-        # them keeps growing signals from manufacturing inf * 0 at times that
-        # are irrelevant anyway
-        live = weights > 0.0
-        values = np.asarray(evaluate(kernel.tau * nodes[live]))
-        return pairwise_dot(weights[live], values), 0.0
+
+def _transform_steps(signal: TimeSignal, steps, tau: float,
+                     error_target: float):
+    """:func:`transform_quadrature` of ``signal`` at every step count of
+    ``steps`` (with time quantum ``tau``), in shared passes: yields one
+    result per step count, in order, each bit-identical to that function's
+    at that ``n``.
+
+    A pass covers up to :data:`_BATCH_STEPS` step counts.  Their screening
+    probes share signal calls, a declared growth gives them one tilted
+    quantum, and at each node count the live nodes of every ``n`` still
+    open share calls too, each of at most :data:`_BATCH_POINTS` points, so a
+    wide signal needs hardly more memory than at one ``n``.  Each ``n``
+    keeps its own rule, sum, acceptance test, prefactor and panel fallback.
+    If a pass raises, its step counts are replayed one by one, so the error
+    is the one a loop over :func:`transform_quadrature` raises, at its
+    first failing ``n``.
+    """
+    kernels = [GammaKernel(n, tau) for n in steps]
+    for start in range(0, len(kernels), _BATCH_STEPS):
+        group = kernels[start:start + _BATCH_STEPS]
+        try:
+            results = _transform_batch(signal, group, error_target)
+        except Exception:
+            # whatever raised, the signal included: the loop is the
+            # reference for which n fails first and with what message
+            if len(kernels) == 1:
+                raise
+            results = (transform_quadrature(
+                signal, kernel, QuadratureRule(kernel.n, error_target))
+                for kernel in group)
+        yield from results
+
+
+def _transform_batch(signal: TimeSignal, kernels: list,
+                     rel: float) -> list:
+    """The pass of :func:`_transform_steps` over ``kernels``, raising the
+    first error it meets."""
+    evaluate, kernels, prefactors = _tilt(signal, kernels)
+    every = np.arange(len(kernels))
+
+    def laguerre(m, open_):
+        # refine asks again only while a row is open: one row is open then
+        rows = every if open_ is True or every.size == 1 else np.flatnonzero(
+            np.reshape(open_, (every.size, -1)).any(axis=1))
+        weights, times = [], []
+        for i in rows:
+            nodes, w = _laguerre_rule(m, kernels[i].n - 1)
+            # far nodes whose weights underflow to 0 contribute nothing;
+            # skipping them keeps growing signals from manufacturing inf * 0
+            # at times that are irrelevant anyway
+            live = w > 0.0
+            weights.append(w[live])
+            times.append(kernels[i].tau * nodes[live])
+        sums = np.array(_evaluate_blocks(
+            evaluate, times, lambda j, f: pairwise_dot(weights[j], f)))
+        if rows.size == every.size:
+            return sums, 0.0
+        # the rows of closed step counts are never read
+        out = np.zeros((every.size,) + sums.shape[1:], sums.dtype)
+        out[rows] = sums
+        return out, 0.0
 
     value, error, kept, _ = refine(laguerre, FIRST_NODE_COUNT, MAX_NODE_COUNT,
                                    rel, ABSOLUTE_FLOOR)
-    method = "laguerre"
-    left = kept == 0
-    if left.any():
-        rest = evaluate if left.all() else (
-            lambda t: np.asarray(evaluate(t))[:, left])
-        value[left], error[left] = _adaptive_fallback(rest, kernel, rel)
-        method = "adaptive"
-    return _result(value, error, kept.max(), method, prefactor)
+    results = []
+    for i, (kernel, prefactor) in enumerate(zip(kernels, prefactors)):
+        one, err = value[i, ...].copy(), error[i, ...].copy()
+        nodes, method = kept[i, ...], "laguerre"
+        left = nodes == 0
+        if left.any():
+            rest = evaluate if left.all() else (
+                lambda t: np.asarray(evaluate(t))[:, left])
+            one[left], err[left] = _adaptive_fallback(rest, kernel, rel)
+            method = "adaptive"
+        results.append(_result(one, err, nodes.max(), method, prefactor))
+    return results
 
 
 def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):
@@ -542,7 +669,7 @@ def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):
     """
     t_end = screening_horizon(kernel)
 
-    def panels(p):
+    def panels(p, _open):
         t, q = legendre_panels(p, t_end)
         w = q * np.exp(_log_density_core(kernel, t))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -622,8 +749,8 @@ def transform_monte_carlo(signal: TimeSignal, kernel: GammaKernel,
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples!r}")
-    evaluate, tilted, prefactor = _tilt(signal, kernel,
-                                        "the Monte Carlo variance", power=2)
+    evaluate, (tilted,), (prefactor,) = _tilt(
+        signal, [kernel], "the Monte Carlo variance", power=2)
     t = sample_internal_time(tilted, np.random.default_rng(seed), samples)
     values = np.asarray(evaluate(t))
     scale = _binary_scale(values)

@@ -297,7 +297,7 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     log_scale = peak - math.lgamma(n)
     last = {}
 
-    def contour(panels):
+    def contour(panels, _open):
         weights, log_f, size = _contour_log_terms(n, lam, b, height, x_end,
                                                   panels)
         # every resolution is scaled by the probe's peak, so the sums compare

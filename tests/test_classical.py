@@ -23,7 +23,7 @@ from dtmech import (
     sho_moments_scaled,
     transform_quadrature,
 )
-from dtmech.kernel import screening_horizon
+from dtmech.kernel import QuadratureRule, screening_horizon
 
 # ---------------------------------------------------------------------------
 # states
@@ -101,6 +101,21 @@ def test_free_particle_diffusive_variance_slope():
     slopes = np.diff(var, axis=0)
     expected = (s.momenta * tau / s.masses) ** 2
     assert np.max(np.abs(slopes - expected)) < 1e-12 * max(1.0, np.max(expected))
+
+
+def test_free_particle_at_rest_survives_a_huge_tau():
+    # the t and t^2 terms have exactly zero coefficients at p = 0, so tau^2
+    # overflowing (1e400) must not turn them into 0 * inf
+    s = PhaseState([1.0], [0.0], [1.0])
+    rep = free_particle_moments(s, GammaKernel(2, 1e200))
+    np.testing.assert_array_equal(rep.mean_positions, 1.0)
+    np.testing.assert_array_equal(rep.second_positions, 1.0)
+    np.testing.assert_array_equal(rep.mean_momenta, 0.0)
+    np.testing.assert_array_equal(rep.second_momenta, 0.0)
+    # a moving particle's <x^2> does leave the float range there
+    with pytest.raises(ValueError, match="float range"):
+        free_particle_moments(PhaseState([1.0], [1.0], [1.0]),
+                              GammaKernel(2, 1e200))
 
 
 def test_free_particle_energy_constant():
@@ -423,6 +438,70 @@ def test_quadrature_report_equals_one_observable_at_a_time(model):
                 rep.second_momenta[:, i, j], alone(lambda x, p: p[..., i] * p[..., j]))
     np.testing.assert_array_equal(
         rep.energy, alone(lambda x, p: model.energy(x, p, s.masses)))
+
+
+def _per_n_loop(monkeypatch):
+    """Make the quadrature route transform one step count at a time, as a
+    loop over ``transform_quadrature``; returns the results it made."""
+    made = []
+
+    def loop(signal, steps, tau, target):
+        for n in steps:
+            made.append(transform_quadrature(signal, GammaKernel(n, tau),
+                                             QuadratureRule(n, target)))
+            yield made[-1]
+
+    monkeypatch.setattr(classical, "_transform_steps", loop)
+    return made
+
+
+@pytest.mark.parametrize("model, state, kernel", [
+    (HarmonicOscillator([0.7, 1.3, 2.1]),
+     PhaseState([1.0, -0.4, 0.3], [0.2, 0.9, -0.5], [0.5, 1.5, 3.0]),
+     GammaKernel(80, 0.25)),
+    (FreeParticle(), PhaseState([0.5, -1.0], [1.0, 2.0], [1.0, 4.0]),
+     GammaKernel(60, 0.4)),
+])
+def test_quadrature_report_equals_the_per_n_loop(monkeypatch, model, state,
+                                                 kernel):
+    # one pass over all step counts, bit for bit the per-n transforms
+    batch = quadrature_moments(model, state, kernel)
+    _per_n_loop(monkeypatch)
+    loop = quadrature_moments(model, state, kernel)
+    for name in ("mean_positions", "mean_momenta", "second_positions",
+                 "second_momenta", "energy"):
+        np.testing.assert_array_equal(getattr(batch, name),
+                                      getattr(loop, name), err_msg=name)
+
+
+def test_rotation_field_pass_equals_the_per_n_loop(monkeypatch):
+    # a CustomField's dense output may round differently when its times
+    # come in other groups; every value must then lie within both errors
+    model = CustomField(lambda x: np.array([x[1], -x[0]]))
+    s = PhaseState([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    k = GammaKernel(40, 0.2)
+
+    def func(x, p):
+        return np.stack([x[:, 0], x[:, 0] * x[:, 1]], axis=1)
+
+    seen = []
+    batched = classical._transform_steps
+
+    def recording(*args):
+        seen.extend(batched(*args))
+        return iter(seen)
+
+    monkeypatch.setattr(classical, "_transform_steps", recording)
+    batch = evolve_observable(model, s, func, k)
+    loop_results = _per_n_loop(monkeypatch)
+    loop = evolve_observable(model, s, func, k)
+    np.testing.assert_array_equal(batch[0], loop[0])
+    for n in range(1, k.n + 1):
+        a, b = seen[n - 1], loop_results[n - 1]
+        np.testing.assert_array_equal(batch[n], a.value)
+        np.testing.assert_array_equal(loop[n], b.value)
+        gap = np.abs(a.value - b.value)
+        assert np.all(gap <= np.minimum(a.error, b.error)), n
 
 
 def test_quadrature_energy_conserved_for_long_runs():

@@ -67,6 +67,25 @@ def test_transform_range_rows(tmp_path):
         assert float(r[1]) == pytest.approx(0.25 * n * (n + 1), rel=1e-10)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--signal", "cos", "--omega", "3", "--tau", "1"],  # panels from n = 7
+    ["--signal", "poly", "--degree", "5", "--tau", "0.5"],
+    ["--signal", "exp", "--rate", "2", "--value", "3", "--tau", "0.2"],
+])
+def test_transform_range_rows_equal_separate_runs(tmp_path, flags):
+    # the range is one pass over its step counts; each row is still what a
+    # run at that n alone writes
+    code, text = run_cli(["transform", *flags, "--n-range", "1:12",
+                          "--format", "json"], tmp_path)
+    assert code == 0
+    rows = json.loads(text)["data"]["rows"]
+    for n in range(1, 13):
+        code, alone = run_cli(["transform", *flags, "--n", str(n),
+                               "--format", "json"], tmp_path, f"n{n}")
+        assert code == 0
+        assert json.loads(alone)["data"]["rows"] == [rows[n - 1]]
+
+
 def test_csv_is_crlf_with_commented_preamble(tmp_path):
     code, text = run_cli(["transform", "--signal", "cos", "--n", "3"],
                          tmp_path)

@@ -117,6 +117,18 @@ def test_kernel_validation():
         GammaKernel(3, math.inf)
 
 
+def test_kernel_refuses_an_array_of_step_counts():
+    # a range of n is a sequence of kernels (or of step counts for the
+    # batched pass), never one kernel: an array n would fail later, in
+    # every route, with an unrelated error
+    with pytest.raises(ValueError, match="step count n must be a single"):
+        GammaKernel(np.array([1, 2]), 0.1)
+    with pytest.raises(ValueError, match="step count n must be a single"):
+        GammaKernel([3], 0.1)
+    ker = GammaKernel(np.array(3), 0.1)
+    assert ker.n == 3 and type(ker.n) is int
+
+
 # ---------------------------------------------------------------------------
 # quadrature rule
 
@@ -655,6 +667,85 @@ def test_continuum_limit_of_cosine():
         errs.append(abs(res.value - target))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# one pass over a range of step counts
+
+
+def _loop(signal, steps, tau, target=kernel.DEFAULT_ERROR_TARGET):
+    """The per-n loop the batched pass replaces."""
+    return [transform_quadrature(signal, GammaKernel(n, tau),
+                                 QuadratureRule(n, target)) for n in steps]
+
+
+def _counting(signal):
+    """``signal`` with the sizes of its calls recorded."""
+    sizes = []
+
+    def evaluate(t):
+        sizes.append(np.size(t))
+        return signal.evaluate(t)
+
+    return kernel.TimeSignal(evaluate, signal.growth_rate), sizes
+
+
+@pytest.mark.parametrize("signal, tau, target", [
+    (cosine_signal(1.5), 0.1, 1e-10),
+    (cosine_signal(3.0), 1.0, 1e-10),  # 256 nodes to n = 6, then panels
+    (complex_exponential_signal(2.0), 0.4, 1e-8),
+    (monomial_signal(7), 0.5, 1e-10),
+    (exponential_signal(3.0, 2.0), 0.2, 1e-12),  # tilted
+    # screened, three columns, of which only the first goes to the panels
+    (kernel.TimeSignal(
+        lambda t: np.stack([np.cos(3.0 * t), np.exp(-t), t], axis=1)),
+     1.0, 1e-10),
+])
+def test_batched_pass_equals_the_per_n_loop(signal, tau, target):
+    steps = range(1, 41)
+    batch = list(kernel._transform_steps(signal, steps, tau, target))
+    for n, got, want in zip(steps, batch, _loop(signal, steps, tau, target)):
+        assert type(got.value) is type(want.value), n
+        np.testing.assert_array_equal(got.value, want.value)
+        np.testing.assert_array_equal(got.error, want.error)
+        assert (got.node_count, got.method) == (want.node_count, want.method)
+
+
+def test_batched_pass_shares_signal_calls_within_the_block():
+    # 60 step counts of an undeclared signal: the loop calls it once to
+    # screen each n and once per doubling level; the pass shares the calls,
+    # none longer than _BATCH_POINTS, and evaluates the same points
+    signal = kernel.TimeSignal(lambda t: np.cos(1.5 * np.asarray(t)))
+    batched, batch_sizes = _counting(signal)
+    looped, loop_sizes = _counting(signal)
+    list(kernel._transform_steps(batched, range(1, 61), 0.1, 1e-10))
+    _loop(looped, range(1, 61), 0.1)
+    assert sum(batch_sizes) == sum(loop_sizes)
+    assert max(batch_sizes) <= kernel._BATCH_POINTS
+    assert len(batch_sizes) * 5 < len(loop_sizes)
+
+
+def _late_blowup(t):
+    # bounded until t = 150, then e^{2(t - 150)}: screening refuses the
+    # step counts whose horizon reaches far past 150 (from n = 13 at tau 1)
+    return np.exp(2.0 * np.maximum(np.asarray(t) - 150.0, 0.0))
+
+
+@pytest.mark.parametrize("signal, steps, tau", [
+    (kernel.TimeSignal(_late_blowup), range(1, 40), 1.0),  # screening, n = 13
+    (exponential_signal(9.0), range(1, 40), 0.1),          # tilt, n = 17
+    (cosine_signal(200.0), range(12, 18), 1.0),            # panels, n = 15
+    (tabulated_signal(np.linspace(0.0, 60.0, 61),          # the signal itself
+                      np.linspace(0.0, 1.0, 61)), range(1, 40), 0.5),
+])
+def test_batched_pass_raises_the_loops_first_error(signal, steps, tau):
+    with pytest.raises(Exception) as loop_error:
+        _loop(signal, steps, tau)
+    with pytest.raises(Exception) as batch_error:
+        list(kernel._transform_steps(signal, steps, tau,
+                                     kernel.DEFAULT_ERROR_TARGET))
+    assert type(batch_error.value) is type(loop_error.value)
+    assert str(batch_error.value) == str(loop_error.value)
 
 
 # ---------------------------------------------------------------------------
