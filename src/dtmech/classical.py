@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StiffnessFailure
 from .kernel import (DEFAULT_ERROR_TARGET, GammaKernel, TimeSignal,
-                     _phase_log, _positive, _transform_steps,
+                     _phase_power, _positive, _transform_steps,
                      screening_horizon)
 
 __all__ = [
@@ -52,7 +52,7 @@ class PhaseState:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.positions, dtype=float))
         p = np.atleast_1d(np.asarray(self.momenta, dtype=float))
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
+        m = np.atleast_1d(_positive("masses", self.masses))
         if not (x.ndim == p.ndim == m.ndim == 1):
             raise ValueError("positions, momenta, masses must be 1-d")
         if not (x.size == p.size == m.size >= 1):
@@ -61,8 +61,6 @@ class PhaseState:
             )
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
             raise ValueError("positions and momenta must be finite")
-        if not np.all(m > 0) or not np.all(np.isfinite(m)):
-            raise ValueError("masses must be finite and > 0")
         for name, arr in (("positions", x), ("momenta", p), ("masses", m)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -123,11 +121,9 @@ class HarmonicOscillator(_LinearModel):
     """
 
     def __init__(self, omega=1.0):
-        w = np.array(omega, dtype=float)
-        if w.ndim == 0:
-            w = _positive("omega", omega)
-        elif w.ndim > 1 or not np.all((w > 0.0) & (w < math.inf)):
-            raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+        w = _positive("omega", omega)
+        if np.ndim(w) > 1:
+            raise ValueError(f"omega must be a float or 1-d, got {omega!r}")
         super().__init__(w)
 
 
@@ -287,58 +283,47 @@ def _linear_moments(state: PhaseState, kernel: GammaKernel,
     """Closed-form report of the linear model over ``n = 0..kernel.n``.
 
     The paper's step is the backward difference, so a smeared ``t^k e^{i nu
-    t}`` is ``tau^k (n)_k (1 - i nu tau)^-(n+k)``.  Each coordinate is
-    written on two such terms, a pair moment on the four products of its
-    coordinates' terms, and each distinct ``(|nu|, k)`` is smeared once,
-    through :func:`~dtmech.kernel._phase_log`.  Only real parts are kept, so
-    a term at ``-nu`` enters as the conjugate coefficient times the term at
-    ``nu``.  Row 0 is the state itself; the energy is ``H(x0, p0)``.
+    t}`` is ``tau^k S_k(nu)``, ``S_k(nu) = (n)_k (1 - i nu tau)^-(n+k)`` (from
+    :func:`~dtmech.kernel._phase_power`, once per distinct ``nu``).  With
+    ``x = Re(a e^{iwt}) + b t`` and ``p = Re(c e^{iwt})``, ``<x> = Re(a
+    S_0(w)) + (b tau) n``, ``<p> = Re(c S_0(w))``, and by ``Re u Re v = Re(u v
+    + u conj(v)) / 2`` each ``<p_i p_j>`` is ``Re(c_i c_j S_0(w_i + w_j) +
+    c_i conj(c_j) S_0(w_i - w_j)) / 2``; ``<x_i x_j>`` is that with ``a`` for
+    ``c``, plus ``(b_j tau) Re(a_i S_1(w_i)) + (b_i tau) Re(a_j S_1(w_j)) +
+    (b_i tau)(b_j tau) n (n + 1)``.  ``b`` meets ``tau`` before any product,
+    so a particle at rest never sees an overflowed ``tau^k``.  Row 0 is the
+    state itself; the energy is ``H(x0, p0)``.
     """
     x0, p0, m = state.positions, state.momenta, state.masses
-    l, rows, tau = state.dof, kernel.n + 1, kernel.tau
+    l, rows, (mt, kt) = state.dof, kernel.n + 1, math.frexp(kernel.tau)
     model = _LinearModel(omega)
     w, a, b, c = model._amplitudes(state)
-    osc = (w > 0)[:, None]
-    # x_i (then p_i) is sum_s coef[., i, s] t^k[i, s] e^{i nu[i, s] t}: the
-    # halves of a e^{iwt} and of its conjugate, or a + b t at w = 0
-    nu, k = np.stack([w, -w], axis=1), np.where(osc, 0, [0, 1])
-    waves = np.transpose([[a, a.conj()], [c, c.conj()]], (0, 2, 1)) / 2
-    lines = np.transpose([[a, b], [c, 0.0 * b]], (0, 2, 1))
-    coef = np.where(osc, waves, lines)
-    iu, ju = np.triu_indices(l)
-    nu2 = (nu[iu, :, None] + nu[ju, None, :]).reshape(-1, 4)
-    k2 = (k[iu, :, None] + k[ju, None, :]).reshape(-1, 4)
-    coef2 = (coef[:, iu, :, None] * coef[:, ju, None, :]).reshape(2, -1, 4)
-    key, term = np.unique(  # (|nu|, k) of every term, as |nu| + i k
-        np.abs(np.append(nu, nu2)) + 1j * np.append(k, k2),
-        return_inverse=True)
-    freq, kk = key.real, key.imag
-    # a term whose every coefficient is exactly 0 (t and t^2 for a particle
-    # at rest) is smeared without its tau^k, which could overflow into
-    # 0 * inf; its part of each moment stays an exact 0
-    used = np.zeros(key.size, dtype=bool)
-    used[term[np.append(coef.any(axis=0), coef2.any(axis=0))]] = True
-    n = np.arange(1.0, rows)[:, None]
-    with np.errstate(over="ignore"):  # nu tau past the largest double
-        rate, angle = _phase_log(freq * tau)
-    smeared = (np.exp(-(n + kk) * rate)
-               * tau ** np.where(used, kk, 0.0)  # k <= 2: (n)_k below
-               * np.where(kk > 0, n, 1.0) * np.where(kk > 1, n + 1.0, 1.0)
-               * np.exp(1j * (n + kk) * angle))[:, term]
+    bt, (iu, ju) = b * kernel.tau, np.triu_indices(l)
+    n = np.arange(1, rows)[:, None]
+    nu, at = np.unique(np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]]),
+                       return_inverse=True)
+    s0 = _phase_power(n, -nu * mt, kt)[0]  # -nu tau = -nu mt 2^kt, exactly
     mean = np.empty((2, rows, l))
     mean[:, 0] = x0, p0
-    mean[:, 1:] = np.einsum("cis,nis->cni",
-                            np.where(nu < 0, coef.conj(), coef),
-                            smeared[:, :2 * l].reshape(-1, l, 2)).real
-    second = np.empty((2, rows, l, l))
-    second[:, 0] = np.outer(x0, x0), np.outer(p0, p0)
-    second[:, 1:, iu, ju] = second[:, 1:, ju, iu] = np.einsum(
-        "cis,nis->cni", np.where(nu2 < 0, coef2.conj(), coef2),
-        smeared[:, 2 * l:].reshape(-1, iu.size, 4)).real
-    return MomentReport(steps=np.arange(rows), mean_positions=mean[0],
-                        mean_momenta=mean[1], second_positions=second[0],
-                        second_momenta=second[1], energy=np.full(
-                            rows, float(model.energy(x0, p0, m))))
+    mean[:, 1:] = (a * s0[:, at[:l]]).real + bt * n, (c * s0[:, at[:l]]).real
+    # sum Re(coef S) at w_i +- w_j: S's float view holds Re S, Im S in turn
+    coef = 0.5 * np.array([[u[iu] * u[ju], u[iu] * u[ju].conj()]
+                           for u in (a, c)])
+    col = 2 * at[l:].reshape(2, -1)
+    pair = np.empty((2, rows, iu.size))
+    pair[:, 0] = x0[iu] * x0[ju], p0[iu] * p0[ju]
+    np.einsum("csp,nsp->cnp", np.concatenate([coef.real, -coef.imag], axis=1),
+              s0.view(float)[:, np.concatenate([col, col + 1])],
+              out=pair[:, 1:])
+    drift = (a * n * _phase_power(n + 1, -w * mt, kt)[0]).real
+    pair[0, 1:] += (bt[ju] * drift[:, iu] + bt[iu] * drift[:, ju]
+                    + bt[iu] * bt[ju] * (n * (n + 1)))
+    pos = np.empty((l, l), dtype=int)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return MomentReport(
+        steps=np.arange(rows), mean_positions=mean[0], mean_momenta=mean[1],
+        second_positions=pair[0][:, pos], second_momenta=pair[1][:, pos],
+        energy=np.full(rows, float(model.energy(x0, p0, m))))
 
 
 @_in_float_range

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import modulus
-from .kernel import (GammaKernel, TimeSignal, _phase_log, _positive,
-                     _step_count, transform_quadrature)
+from .kernel import (GammaKernel, TimeSignal, _phase_log, _phase_power,
+                     _positive, _step_count, transform_quadrature)
 
 __all__ = [
     "DensityMatrix",
@@ -145,32 +145,30 @@ def project_density(energies, coeffs) -> DensityMatrix:
     return DensityMatrix(e, repaired)
 
 
-def _gap_log(constants: PhysicalConstants, e_a, e_b=0.0):
-    """``_phase_log`` of ``z = tau (e_a - e_b) / hbar``, the gap taken as
-    ``2 (e_a/2 - e_b/2)`` where it overflows.  Where ``z`` overflows, log|z|
-    is formed with one rounding from the exact binary exponents of the gap,
-    ``tau`` and ``hbar``; each ``z`` whose square is a double keeps its bits."""
+def _gap_phase(constants: PhysicalConstants, e_a, e_b=0.0):
+    """``(z, e, log|1 + iw|)`` for ``w = z 2^e = tau (e_a - e_b) / hbar``, the
+    gap taken as ``2 (e_a/2 - e_b/2)`` where it overflows.  Where ``w`` does,
+    ``z`` and ``e`` are the mantissa product and exponent sum of the gap,
+    ``tau`` and ``1/hbar``, and the log is ``e ln 2 + log|z|``; else e = 0."""
     with np.errstate(over="ignore"):
         gap = np.subtract(e_a, e_b)
         wide = np.isinf(gap)
         part = np.where(wide, np.multiply(e_a, 0.5) - np.multiply(e_b, 0.5), gap)
-        z = constants.phase_scale(part) * np.where(wide, 2.0, 1.0)
-    rate, angle = _phase_log(z)
+        z = np.asarray(constants.phase_scale(part) * np.where(wide, 2.0, 1.0))
+    (rate, _), e = _phase_log(z), np.zeros(z.shape, dtype=int)
     far = np.isinf(z)
-    if far.any():
-        m, k = np.frexp(np.abs(part[far]))
-        (mt, kt), (mh, kh) = math.frexp(constants.tau), math.frexp(constants.hbar)
-        k = k + wide[far] + (kt - kh)
-        rate[far] = k * LN2_HI + (np.log(m * (mt / mh)) + k * LN2_LO)
-    return rate, angle
+    m, k = np.frexp(part[far])
+    (mt, kt), (mh, kh) = math.frexp(constants.tau), math.frexp(constants.hbar)
+    z[far], e[far] = m * (mt / mh), k + wide[far] + (kt - kh)
+    rate[far] = e[far] * LN2_HI + (np.log(np.abs(z[far])) + e[far] * LN2_LO)
+    return z, e, rate
 
 
 def _coherence_factors(energies: np.ndarray, n: int,
                        constants: PhysicalConstants) -> np.ndarray:
-    """Entrywise matrix [1 + i tau (e_a - e_b)/hbar]^{-n} in polar form."""
-    rate, angle = _gap_log(constants, energies[:, None], energies[None, :])
-    phase = -n * angle
-    return np.exp(-n * rate) * (np.cos(phase) + 1j * np.sin(phase))
+    """Entrywise matrix [1 + i tau (e_a - e_b)/hbar]^{-n}."""
+    z, e, _ = _gap_phase(constants, energies[:, None], energies[None, :])
+    return _phase_power(n, z, e)[0]
 
 
 def evolve_density(dm: DensityMatrix, n: int,
@@ -198,7 +196,7 @@ def decoherence_time(delta_e, constants: PhysicalConstants = NATURAL):
     Infinite for a degenerate pair or past the largest double, finite for
     every other gap; scalars or arrays, in the units of ``constants.tau``.
     """
-    rate, _ = _gap_log(constants, delta_e)
+    rate = _gap_phase(constants, delta_e)[2]
     with np.errstate(divide="ignore", over="ignore"):
         out = constants.tau / rate
     return float(out) if np.ndim(delta_e) == 0 else out
@@ -212,9 +210,8 @@ def offdiagonal_modulus(n: int, delta_e,
     :func:`decoherence_time` — the identity the tests pin down.  Counts
     ``n`` may be an array that broadcasts against the gaps.
     """
-    n = _step_count(n, 0)
-    rate, _ = _gap_log(constants, delta_e)
-    out = np.exp(-n * rate)
+    z, e, _ = _gap_phase(constants, delta_e)
+    out = _phase_power(_step_count(n, 0), z, e)[1]
     return float(out) if np.ndim(delta_e) == 0 else out
 
 
@@ -259,13 +256,14 @@ def decoherence_report(dm: DensityMatrix, steps,
         raise ValueError("steps must be non-empty")
     a, b = np.triu_indices(dm.dim, 1)
     e_a, e_b = dm.energies[a], dm.energies[b]
-    rate, _ = _gap_log(constants, e_a, e_b)
+    z, e, rate = _gap_phase(constants, e_a, e_b)
     with np.errstate(divide="ignore", over="ignore"):
         gaps, lifetimes = e_a - e_b, constants.tau / rate
     return DecoherenceReport(
         tau=constants.tau, pairs=np.stack([a, b], axis=1), energy_gaps=gaps,
         lifetimes=lifetimes, steps=steps,
-        moduli=modulus(dm.coeffs[a, b])[:, None] * np.exp(-steps * rate[:, None]))
+        moduli=modulus(dm.coeffs[a, b])[:, None]
+        * _phase_power(steps, z[:, None], e[:, None])[1])
 
 
 def gamma_equivalence_check(dm: DensityMatrix, n: int,
@@ -310,6 +308,5 @@ def schroedinger_defect(n: int, delta_e,
     ``n`` for a fixed nonzero gap; requires ``n >= 1``.
     """
     n = _step_count(n, 1)
-    rate, _ = _gap_log(constants, delta_e)
-    out = n * rate
+    out = n * _gap_phase(constants, delta_e)[2]
     return float(out) if np.ndim(delta_e) == 0 else out

@@ -10,13 +10,15 @@ import pytest
 
 import dtmech
 from dtmech import (BackwardOnly, CustomField, DensityMatrix,
-                    DivergentTransform, GammaKernel, PhaseState,
+                    DivergentTransform, GammaKernel, HarmonicOscillator,
+                    PhaseState,
                     PhysicalConstants, QuadratureRule, SensitivityModel,
                     StepScheme, advection_negativity_probe,
                     chirped_sine_expectation, decoherence_report,
                     dt_sensitivity, evolve_density, exponential_map,
                     exponential_signal,
-                    gamma_equivalence_check, offdiagonal_modulus,
+                    gamma_equivalence_check, monomial_signal,
+                    offdiagonal_modulus, sample_internal_time,
                     schroedinger_defect, scheme_delta_coefficient,
                     scheme_density_decomposition, sho_moments_scaled,
                     transform_monte_carlo, transform_quadrature)
@@ -55,6 +57,11 @@ _STEP_CALLERS = {
         StepScheme(0.25), n),
     "chirped_sine_expectation": lambda n: chirped_sine_expectation(n, 0.5,
                                                                    1.0),
+    "monomial_signal degree": monomial_signal,
+    "sample_internal_time size": lambda n: sample_internal_time(
+        GammaKernel(2, 1.0), np.random.default_rng(0), n),
+    "transform_monte_carlo samples": lambda n: transform_monte_carlo(
+        exponential_signal(0.0), GammaKernel(2, 1.0), n, 0),
 }
 
 
@@ -101,6 +108,13 @@ _REFUSALS = {
     "CustomField t_max": (lambda: CustomField(lambda y: -y).trajectory(
         PhaseState([1.0], [0.0], [1.0]), True), ValueError,
         "^t_max" + _POSITIVE),
+    # arrays too, under the same rule
+    "PhaseState masses": (lambda: PhaseState([1.0], [0.0], [True]),
+                          ValueError, "^masses" + _POSITIVE),
+    "per-DOF omega": (lambda: HarmonicOscillator(np.array([True, True])),
+                      ValueError, "^omega" + _POSITIVE),
+    "per-DOF omega nan": (lambda: HarmonicOscillator([1.0, math.nan]),
+                          ValueError, "^omega" + _POSITIVE),
     # one growth rule, nan included
     "transform_quadrature": (lambda: transform_quadrature(
         exponential_signal(2.0), GammaKernel(3, 0.5)), DivergentTransform,

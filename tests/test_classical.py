@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -661,6 +662,74 @@ def test_rotation_field_obeys_the_backward_difference_law(steps, tau):
         bound = (errors[1:, i] + errors[:-1, i] + tau * errors[1:, j]
                  + (2 + tau) * delta)
         assert np.all(np.abs(residual) <= bound)
+
+
+def _mp_terms(x0, p0, m, w):
+    """x(t) and p(t) of one degree of freedom as {(nu, k): coefficient} of
+    t^k e^{i nu t}, in mpmath from the exact binary inputs: x0 + (p0/m) t at
+    w = 0, else x0 cos wt + (p0/m) sin(wt)/w and p0 cos wt - m w x0 sin wt."""
+    x0, p0, m, w = (mpmath.mpf(float(v)) for v in (x0, p0, m, w))
+    if w == 0:
+        return {(0, 0): x0, (0, 1): p0 / m}, {(0, 0): p0}
+    half_sin = 1 / mpmath.mpc(0, 2)  # sin wt = (e^{iwt} - e^{-iwt}) / 2i
+    x = {(w, 0): x0 / 2 + p0 / (m * w) * half_sin,
+         (-w, 0): x0 / 2 - p0 / (m * w) * half_sin}
+    p = {(w, 0): p0 / 2 - m * w * x0 * half_sin,
+         (-w, 0): p0 / 2 + m * w * x0 * half_sin}
+    return x, p
+
+
+def _mp_smear(terms, steps, tau):
+    """Rows 1..steps of the gamma(n) smearing of sum c t^k e^{i nu t}: each
+    term is tau^k (n)_k (1 - i nu tau)^-(n+k), real part kept."""
+    tau, rows = mpmath.mpf(tau), [mpmath.mpc(0)] * steps
+    for (nu, k), c in terms.items():
+        q = 1 / (1 - 1j * nu * tau)
+        power = c * (tau * q) ** k
+        for n in range(1, steps + 1):
+            power *= q
+            rows[n - 1] += power * math.prod(range(n, n + k))
+    return [float(v.real) for v in rows]
+
+
+def _mp_product(f, g):
+    out = {}
+    for (nu, k), c in f.items():
+        for (mu, j), d in g.items():
+            out[nu + mu, k + j] = out.get((nu + mu, k + j), 0) + c * d
+    return out
+
+
+@pytest.mark.parametrize("seed, kind", [(1, "free"), (2, "common"),
+                                        (3, "per-dof"), (4, "mixed"),
+                                        (5, "mixed")])
+def test_closed_moments_match_mpmath_within_8_ulps_of_scale(seed, kind):
+    # masses in [0.5, 3]; every mean and pair moment of rows 1..60 lies
+    # within 8 ulps of its moment's scale, the largest |exact value| over
+    # the rows, of the 40-digit term expansion
+    rng = np.random.default_rng(seed)
+    l, steps = 3, 60
+    x0, p0 = rng.uniform(-2, 2, l), rng.uniform(-2, 2, l)
+    m, tau = rng.uniform(0.5, 3, l), float(rng.uniform(0.1, 1))
+    w = {"free": np.zeros(l), "common": np.full(l, rng.uniform(0.2, 3)),
+         "per-dof": rng.uniform(0.2, 3, l),
+         "mixed": np.array([0.0, *rng.uniform(0.2, 3, l - 1)])}[kind]
+    rep = classical._linear_moments(PhaseState(x0, p0, m),
+                                    GammaKernel(steps, tau), w)
+    with mpmath.workdps(40):
+        terms = [_mp_terms(*v) for v in zip(x0, p0, m, w)]
+        cases = [(rep.mean_positions, [_mp_smear(t[0], steps, tau)
+                                       for t in terms]),
+                 (rep.mean_momenta, [_mp_smear(t[1], steps, tau)
+                                     for t in terms])]
+        for c, got in enumerate((rep.second_positions, rep.second_momenta)):
+            cases.append((got.reshape(steps + 1, -1), [
+                _mp_smear(_mp_product(ti[c], tj[c]), steps, tau)
+                for ti in terms for tj in terms]))
+    for got, columns in cases:
+        exact = np.array(columns).T
+        ulp = np.spacing(np.abs(exact).max(axis=0))
+        assert np.all(np.abs(got[1:] - exact) <= 8 * ulp)
 
 
 # ---------------------------------------------------------------------------

@@ -1281,7 +1281,12 @@ def scipy_after_each_step(commands, tmp_path):
 
 
 def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps({"energies": [0.0, 1.0],
+                                 "re": [[0.5, 0.5], [0.5, 0.5]],
+                                 "im": [[0.0, 0.0], [0.0, 0.0]]}))
     commands = [
+        ["quantum", "evolve", "--state", str(state), "--n", "5"],
         ["quantum", "td", "--preset", "si-planck", "--delta-e", "7meV"],
         ["classical", "--model", "oscillator", "--route", "closed",
          "--x", "1,0", "--p", "0,1", "--n", "50", "--tau", "0.25"],

@@ -308,6 +308,23 @@ def test_a_phase_past_the_largest_double_keeps_its_value(case):
     assert abs(got - want) <= max(1e-13 * abs(want), 1e-323)
 
 
+@pytest.mark.parametrize("gap", [1e10, 1e100, 1e200, 1e300])
+def test_the_modulus_at_a_large_gap_is_within_4_ulps_of_mpmath(gap):
+    # |1 + iz|^-n is 2^(-n k) exp(-n r) with r = log m + 0.5 log1p(z^-2) for
+    # z = m 2^k: exp(-n log|1 + iz|) would turn the half-ulp rounding of a
+    # log near 230 (at 1e100) into hundreds of ulps of the modulus
+    dm = DensityMatrix([gap, 0.0], np.full((2, 2), 0.5))
+    for n in (1, 2, 3):
+        with mpmath.workdps(40):
+            want = float((1 + mpmath.mpf(gap) ** 2) ** (-mpmath.mpf(n) / 2))
+        if want < sys.float_info.min:
+            continue
+        for got in (offdiagonal_modulus(n, gap),
+                    2 * abs(evolve_density(dm, n).coeffs[0, 1]),
+                    2 * decoherence_report(dm, [n]).moduli[0, 0]):
+            assert abs(got - want) <= 4 * np.spacing(want)
+
+
 def test_the_report_of_an_overflowing_gap_keeps_n0_and_its_lifetime():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
