@@ -130,7 +130,7 @@ def _step_count(n, minimum: int, what: str = "step count n"):
 def _positive(name: str, value):
     """``value`` as a float (a float array for an array): finite, > 0 and
     not a bool; else ``ValueError``."""
-    if isinstance(value, float) and 0.0 < value < math.inf:
+    if (isinstance(value, float) or type(value) is int) and 0.0 < value < math.inf:
         return float(value)  # without numpy: kernels are built per step count
     a = np.asarray(value)
     if a.dtype.kind in "iuf" and ((0.0 < a) & (a < math.inf)).all():

@@ -155,7 +155,7 @@ def _gap_phase(constants: PhysicalConstants, e_a, e_b=0.0):
         wide = np.isinf(gap)
         part = np.where(wide, np.multiply(e_a, 0.5) - np.multiply(e_b, 0.5), gap)
         z = np.asarray(constants.phase_scale(part) * np.where(wide, 2.0, 1.0))
-    (rate, _), e = _phase_log(z), np.zeros(z.shape, dtype=int)
+    rate, e = _phase_log(z)[0], np.zeros(z.shape, dtype=int)
     far = np.isinf(z)
     m, k = np.frexp(part[far])
     (mt, kt), (mh, kh) = math.frexp(constants.tau), math.frexp(constants.hbar)
@@ -212,7 +212,7 @@ def offdiagonal_modulus(n: int, delta_e,
     """
     z, e, _ = _gap_phase(constants, delta_e)
     out = _phase_power(_step_count(n, 0), z, e)[1]
-    return float(out) if np.ndim(delta_e) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

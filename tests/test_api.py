@@ -149,6 +149,14 @@ def test_each_precondition_is_refused_by_its_one_rule(caller):
         call()
 
 
+@pytest.mark.parametrize("value", [3, 10**20, np.int64(5), np.float32(0.5)],
+                         ids=repr)
+def test_the_positive_rule_reads_any_int_or_float(value):
+    # a Python int wider than numpy's int64 too, not only what numpy stores
+    assert GammaKernel(3, value).tau == float(value)
+    assert PhysicalConstants(hbar=value, tau=value).hbar == float(value)
+
+
 def test_the_cli_refuses_a_bad_t_max_by_the_same_rule(capsys):
     assert main(["chaos", "ct", "--a", "0.5", "--t-max", "-1"]) == 2
     assert capsys.readouterr().err == (

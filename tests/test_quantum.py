@@ -197,6 +197,11 @@ def test_modulus_matches_lifetime_identity():
     assert offdiagonal_modulus(2, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
+def test_an_array_of_counts_broadcasts_against_one_gap():
+    want = [offdiagonal_modulus(n, 3.0) for n in (0, 1, 5)]
+    assert offdiagonal_modulus(np.array([0, 1, 5]), 3.0).tolist() == want
+
+
 def test_planck_scale_landmark_small_gap():
     # a 7 meV gap at the Planck-scale quantum: coherence outlives 1e10 years
     td = decoherence_time(7e-3 * ELECTRON_VOLT, SI_PLANCK)
