@@ -10,8 +10,10 @@ observable to its continuous-time history through
 i.e. step ``n`` sees continuous time through a gamma(``n``) distributed
 internal clock with mean ``n*tau`` and standard deviation ``sqrt(n)*tau``.
 This module provides the weight density, two independent evaluation routes
-for the smearing integral (generalized Gauss--Laguerre quadrature and Monte
-Carlo over internal-time draws), sampling of the internal clock, and the
+for the smearing integral (generalized Gauss--Laguerre quadrature, with
+nodes from the Jacobi matrix's eigenvalues alone and Christoffel-function
+weights, and Monte Carlo over internal-time draws), sampling of the
+internal clock, and the
 analysis of one-step mixing schemes: the signed delta coefficient, the exact
 decomposition of the smearing density into gamma mixtures, and a spectral
 advection probe that exhibits scheme-induced negativity on a periodic grid.
@@ -133,6 +135,13 @@ def _positive(name: str, value):
     if (isinstance(value, float) or type(value) is int) and 0.0 < value < math.inf:
         return float(value)  # without numpy: kernels are built per step count
     a = np.asarray(value)
+    if a.dtype.kind == "O" and all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) for v in a.flat):
+        try:  # numpy keeps a Python int past int64 as an object
+            a = a.astype(float)
+        except OverflowError:  # past the largest double: refused below
+            pass
     if a.dtype.kind in "iuf" and ((0.0 < a) & (a < math.inf)).all():
         return float(a) if a.ndim == 0 else a.astype(float)
     raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -339,38 +348,66 @@ def tabulated_signal(times, values) -> TimeSignal:
 
 @lru_cache(maxsize=256)
 def _laguerre_rule(node_count: int, shape_param: int):
-    """Nodes/weights for the weight ``u**shape_param * exp(-u)``, normalized.
+    """Nodes/weights for the weight ``u**shape_param * exp(-u)``, normalized
+    to sum to 1, on the nodes ``u <= U(shape_param + 1)`` alone (the window
+    of :func:`screening_horizon`, past which the weight is spent).
 
-    Golub--Welsch on the symmetric Jacobi matrix of the generalized Laguerre
-    recurrence: diagonal ``2k + shape + 1``, off-diagonal ``sqrt(k (k+shape))``.
-    The zeroth moment is set to one, so the weights sum to 1 and the rule
-    integrates against the *normalized* gamma weight; this keeps every entry
-    representable for shape parameters far beyond the overflow point of
-    ``Gamma(shape+1)``.
+    With ``m = node_count`` and ``a = shape_param``, the nodes are the
+    eigenvalues of the Jacobi matrix of the generalized Laguerre recurrence
+    (diagonal ``2k + a + 1``, off-diagonal ``sqrt(k (k + a))``; Golub and
+    Welsch 1969), from LAPACK ``dsterf`` without eigenvectors, each polished
+    by one Newton step on ``L_m^a``.  A weight is the Christoffel function
+    ``1 / K(u)``, ``K = sum_{k<m} p_k(u)^2`` over the orthonormal ``p_k``,
+    taken in Christoffel--Darboux form, ``K = m (L_{m-1}^{a+1} L_{m-1}^a -
+    L_{m-2}^{a+1} L_m^a) / C(m-1+a, m-1)``, from the compiled
+    ``eval_genlaguerre``; the weights are then scaled to sum to 1, which
+    cancels the rounding of the binomials.  Each weight is so accurate
+    relative to itself, a far one too.  Where the compiled evaluation
+    overflows (``C(m + a, m)`` past the largest double, from ``a`` about
+    1,400 at 256 nodes) the Newton step and ``K`` come from the orthonormal
+    recurrence instead; a ``K`` that overflows there is a weight below the
+    smallest double, 0.
     """
-    k = np.arange(node_count, dtype=float)
-    diag = 2.0 * k + shape_param + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + shape_param))
-    from scipy.linalg import eigh_tridiagonal  # on first use, as above
-    # the divide-and-conquer tridiagonal driver; a banded solver would also
-    # build and apply an m x m band-reduction matrix (the identity here)
-    nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")
-    weights = vecs[0, :] ** 2
-    if node_count > 1:
-        # Far-tail weights whose true size is below eigenvector noise (~eps^2)
-        # come back as junk around 1e-32; a growing integrand would amplify
-        # that junk by hundreds of orders of magnitude.  A true Gauss weight
-        # tracks (normalized density) * (node gap), so anything exceeding that
-        # estimate wildly is noise and gets zeroed.
-        gaps = np.empty_like(nodes)
-        gaps[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-        gaps[0] = nodes[1] - nodes[0]
-        gaps[-1] = nodes[-1] - nodes[-2]
-        with np.errstate(divide="ignore"):
-            expected = (_log_density_core(GammaKernel(shape_param + 1, 1.0), nodes)
-                        + np.log(gaps))
-            junk = np.log(weights) > expected + 30.0
-        weights[junk] = 0.0
+    a, m = shape_param, node_count
+    if m == 1:
+        nodes, weights = np.array([a + 1.0]), np.array([1.0])
+    else:
+        from scipy.linalg.lapack import dsterf  # on first use, as above
+        from scipy.special import binom, eval_genlaguerre
+        k = np.arange(m + 1.0)
+        diag, off = 2.0 * k + a + 1.0, np.sqrt(k * (k + a))
+        x, _ = dsterf(diag[:m], off[1:m])
+        x = x[x <= _window(a + 1)]
+        scale = binom(m + a, m)
+        if np.isfinite(scale * m):  # C(m + a, m - 1) is scale m / (a + 1)
+            # all over sqrt(C(m-1+a, m-1) / m), so that K comes out as it
+            # is; L_{m-1}^a = b and L_{m-2}^{a+1} = d - b follow from the two
+            # evaluated here, and L_m^a' = -L_{m-1}^{a+1}
+            c = math.sqrt(binom(m - 1 + a, m - 1) / m)
+
+            def newton_and_christoffel(x):
+                lm = eval_genlaguerre(m, a, x) / c
+                d = eval_genlaguerre(m - 1, a + 1, x) / c
+                b = (x * d + m * lm) / (m + a)
+                return -lm / d, d * b - (d - b) * lm
+        else:
+            def newton_and_christoffel(x):
+                # orthonormal p_k and p_k': (p_m / p_m', sum_{k<m} p_k^2)
+                p_, p, dp_, dp = 0.0, np.ones_like(x), 0.0, np.zeros_like(x)
+                total = np.zeros_like(x)
+                for j in range(m):
+                    total += p * p
+                    gap = x - diag[j]
+                    p_, p = p, (gap * p - off[j] * p_) / off[j + 1]
+                    dp_, dp = dp, (p_ + gap * dp - off[j] * dp_) / off[j + 1]
+                return p / dp, total
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = newton_and_christoffel(x)[0]
+            x = np.where(np.isfinite(step), x - step, x)
+            # an overflowed K (nan from inf - inf too) is a weight of 0
+            weights = np.fmax(1.0 / newton_and_christoffel(x)[1], 0.0)
+        nodes, weights = x, weights / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -435,8 +472,12 @@ def screening_horizon(kernel: GammaKernel) -> float:
     growth rate ``g > 0`` moves that time to the horizon of the quantum
     ``tau / (1 - g tau)``, at which both transform routes work (Monte Carlo
     draws its internal times there too)."""
-    n = kernel.n
-    return kernel.tau * (2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0)
+    return kernel.tau * _window(kernel.n)
+
+
+def _window(n: int) -> float:
+    """``U(n)`` of :func:`screening_horizon`, in units of ``tau``."""
+    return 2.0 * (n + 10.0 * math.sqrt(n) + 50.0) + 1.0
 
 
 def _evaluate_blocks(evaluate, times, reduce) -> list:
@@ -577,10 +618,13 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
 
     Starts from :data:`FIRST_NODE_COUNT` nodes, whatever ``n``, and
     doubles the node count over every column of the signal at
-    once.  A column keeps the value and error of the first doubling where
-    two consecutive estimates agree to the rule's relative target (or
-    :data:`ABSOLUTE_FLOOR` absolutely), exactly as a scalar transform of it
-    would; the difference of that doubling is its error estimate.  Columns
+    once; a rule has no node past ``U(n)``, so the signal is evaluated no
+    later than :func:`screening_horizon`.  A column keeps the value and
+    error of the first doubling where two consecutive estimates agree to
+    the rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely),
+    exactly as a scalar transform of it would; its error is the difference
+    of that doubling plus the rounding of the ``m``-node sum, ``eps
+    log2(m) sum w |f|``.  Columns
     still open at :data:`MAX_NODE_COUNT` — oscillatory signals with
     ``omega*tau`` large defeat polynomial rules, and a larger rule costs
     more to build than the panels cost to sum — are summed together over
@@ -653,14 +697,23 @@ def _transform_batch(signal: TimeSignal, kernels: list,
             live = w > 0.0
             weights.append(w[live])
             times.append(kernels[i].tau * nodes[live])
-        sums = np.array(_evaluate_blocks(
-            evaluate, times, lambda j, f: pairwise_dot(weights[j], f)))
+
+        def reduce(j, f):
+            # the sum and a bound on its rounding, eps log2(m) sum w |f|,
+            # with |Re f| + |Im f| >= |f| for a complex f
+            size = np.abs(f) if f.dtype.kind != "c" else np.abs(f.real) + np.abs(f.imag)
+            return pairwise_dot(weights[j], f), pairwise_dot(weights[j], size)
+
+        sums, sizes = (np.array(part) for part in zip(*_evaluate_blocks(
+            evaluate, times, reduce)))
+        rounding = EPS * math.log2(m) * sizes
         if rows.size == every.size:
-            return sums, 0.0
+            return sums, rounding
         # the rows of closed step counts are never read
-        out = np.zeros((every.size,) + sums.shape[1:], sums.dtype)
-        out[rows] = sums
-        return out, 0.0
+        full = [np.zeros((every.size,) + a.shape[1:], a.dtype)
+                for a in (sums, rounding)]
+        full[0][rows], full[1][rows] = sums, rounding
+        return full
 
     value, error, kept, _ = refine(laguerre, FIRST_NODE_COUNT, MAX_NODE_COUNT,
                                    rel, ABSOLUTE_FLOOR)

@@ -274,16 +274,22 @@ def gamma_equivalence_check(dm: DensityMatrix, n: int,
     ``a_{ab} e^{-i (e_a - e_b) t/hbar}``; smearing it with the gamma weight
     must land exactly on the stepped factor.  Returns the largest absolute
     deviation over all entries (0 for ``n = 0``, where both sides are the
-    identity).  All nonzero coefficients are columns of one signal, so the
-    check costs one transform."""
+    identity).  A zero gap's phase is 1 and the weight integrates to 1, so
+    those entries (the diagonal, and degenerate levels) are compared with
+    the stepped ones directly; the other nonzero coefficients are columns
+    of one signal, so the check costs one transform."""
     n = _step_count(n, 0)
     if n == 0:
         return 0.0
     evolved = evolve_density(dm, n, constants).coeffs
-    live = dm.coeffs != 0
+    gaps = dm.energies[:, None] - dm.energies[None, :]
+    still = gaps == 0
+    worst = float(np.max(modulus(dm.coeffs[still] - evolved[still]), initial=0.0))
+    live = (dm.coeffs != 0) & ~still
+    if not live.any():
+        return worst
     coeffs = dm.coeffs[live]
-    omegas = (dm.energies[:, None] - dm.energies[None, :])[live] / constants.hbar
-    phases = -1j * omegas
+    phases = -1j * (gaps[live] / constants.hbar)
 
     def evaluate(t):
         # one (m, k) array, exponentiated and scaled in place: a wide
@@ -294,7 +300,7 @@ def gamma_equivalence_check(dm: DensityMatrix, n: int,
 
     signal = TimeSignal(evaluate, growth_rate=0.0)
     res = transform_quadrature(signal, GammaKernel(n, constants.tau))
-    return float(np.max(modulus(res.value - evolved[live])))
+    return max(worst, float(np.max(modulus(res.value - evolved[live]))))
 
 
 def schroedinger_defect(n: int, delta_e,

@@ -157,6 +157,18 @@ def test_the_positive_rule_reads_any_int_or_float(value):
     assert PhysicalConstants(hbar=value, tau=value).hbar == float(value)
 
 
+def test_the_positive_rule_reads_an_array_of_wide_python_ints():
+    # numpy stores 10**20 in an object array; it is read as a float, as a
+    # scalar 10**20 is, while a bool stays refused
+    assert PhaseState([0.0], [0.0], [10**20]).masses.tolist() == [1e20]
+    assert HarmonicOscillator([10**20]).omega.tolist() == [1e20]
+    assert PhaseState([0.0, 1.0], [0.0, 0.0], [10**20, 2.5]).masses.tolist() == [
+        1e20, 2.5]
+    for bad in ([True], [10**400], [10**20, True]):
+        with pytest.raises(ValueError, match="masses must be finite and > 0"):
+            PhaseState([0.0] * len(bad), [0.0] * len(bad), bad)
+
+
 def test_the_cli_refuses_a_bad_t_max_by_the_same_rule(capsys):
     assert main(["chaos", "ct", "--a", "0.5", "--t-max", "-1"]) == 2
     assert capsys.readouterr().err == (
