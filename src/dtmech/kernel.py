@@ -12,7 +12,8 @@ internal clock with mean ``n*tau`` and standard deviation ``sqrt(n)*tau``.
 This module provides the weight density, two independent evaluation routes
 for the smearing integral (generalized Gauss--Laguerre quadrature, with
 nodes from the Jacobi matrix's eigenvalues alone and Christoffel-function
-weights, and Monte Carlo over internal-time draws), sampling of the
+weights, solved at anchor shapes only and reweighted by ``u^Delta`` for the
+shapes between them, and Monte Carlo over internal-time draws), sampling of the
 internal clock, and the
 analysis of one-step mixing schemes: the signed delta coefficient, the exact
 decomposition of the smearing density into gamma mixtures, and a spectral
@@ -96,6 +97,12 @@ _BATCH_POINTS = MAX_NODE_COUNT
 #: _BATCH_POINTS at the first node count; on the benchmark's moment reports
 #: larger passes ran within 5% of its time.
 _BATCH_STEPS = 32
+
+#: Gauss--Laguerre rules are solved only at anchor shapes: every shape below
+#: _SHAPE_BLOCK and every multiple of it.  Any other shape reweights the rule
+#: of the anchor below it, at most _SHAPE_BLOCK - 1 shapes away, so a range
+#: of step counts solves about one rule per node count and block.
+_SHAPE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -352,7 +359,20 @@ def _laguerre_rule(node_count: int, shape_param: int):
     to sum to 1, on the nodes ``u <= U(shape_param + 1)`` alone (the window
     of :func:`screening_horizon`, past which the weight is spent).
 
-    With ``m = node_count`` and ``a = shape_param``, the nodes are the
+    With ``m = node_count`` and ``a = shape_param``, a rule is solved only at
+    an anchor shape: ``a < 16`` or a multiple of 16 (:data:`_SHAPE_BLOCK`).
+    Any other shape takes the rule of its anchor ``b = 16 floor(a / 16)``,
+    ``Delta = a - b <= 15`` below it, from this same cache: the anchor's
+    nodes, with weights ``w_i (u_i / (b + 1))**Delta`` scaled to sum to 1.
+    Since ``u^a e^-u / a! = u^Delta / (b + 1)_Delta * u^b e^-u / b!``, that
+    rule integrates every polynomial up to degree ``2m - 1 - Delta`` exactly
+    against the gamma(``a + 1``) weight (a polynomial modification of the
+    weight; Gautschi 2004, sec. 2.4); its nodes stay below ``U(b + 1) <=
+    U(a + 1)``, and each weight is the anchor's times a factor right
+    relative to itself, so a far weight stays right relative to its size.
+    The one-node rule is node ``a + 1`` with weight 1 at every shape.
+
+    At an anchor, the nodes are the
     eigenvalues of the Jacobi matrix of the generalized Laguerre recurrence
     (diagonal ``2k + a + 1``, off-diagonal ``sqrt(k (k + a))``; Golub and
     Welsch 1969), from LAPACK ``dsterf`` without eigenvectors, each polished
@@ -369,8 +389,14 @@ def _laguerre_rule(node_count: int, shape_param: int):
     smallest double, 0.
     """
     a, m = shape_param, node_count
+    delta = _shape_shift(a)
     if m == 1:
         nodes, weights = np.array([a + 1.0]), np.array([1.0])
+    elif delta:
+        b = a - delta
+        nodes, anchor = _laguerre_rule(m, b)
+        weights = anchor * (nodes / (b + 1.0)) ** delta
+        weights = weights / weights.sum()
     else:
         from scipy.linalg.lapack import dsterf  # on first use, as above
         from scipy.special import binom, eval_genlaguerre
@@ -411,6 +437,12 @@ def _laguerre_rule(node_count: int, shape_param: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def _shape_shift(shape_param: int) -> int:
+    """``Delta``: how far ``shape_param`` lies above the anchor shape whose
+    rule :func:`_laguerre_rule` reweights for it; 0 at an anchor."""
+    return shape_param % _SHAPE_BLOCK if shape_param >= _SHAPE_BLOCK else 0
 
 
 @dataclass(frozen=True)
@@ -624,7 +656,9 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     the rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely),
     exactly as a scalar transform of it would; its error is the difference
     of that doubling plus the rounding of the ``m``-node sum, ``eps
-    log2(m) sum w |f|``.  Columns
+    log2(m) sum w |f|``, and, where the rule is its anchor's reweighted by
+    ``u^Delta`` (:func:`_laguerre_rule`), of those weights, ``eps (Delta +
+    2) sum w |f|`` more.  Columns
     still open at :data:`MAX_NODE_COUNT` — oscillatory signals with
     ``omega*tau`` large defeat polynomial rules, and a larger rule costs
     more to build than the panels cost to sum — are summed together over
@@ -656,7 +690,9 @@ def _transform_steps(signal: TimeSignal, steps, tau: float,
     quantum, and at each node count the live nodes of every ``n`` still
     open share calls too, each of at most :data:`_BATCH_POINTS` points, so a
     wide signal needs hardly more memory than at one ``n``.  Each ``n``
-    keeps its own rule, sum, acceptance test, prefactor and panel fallback.
+    keeps its own rule, sum, acceptance test, prefactor and panel fallback;
+    a rule depends on ``(m, n)`` alone, and the step counts of one block of
+    16 shapes share their anchor's eigenvalue solve at each node count.
     If a pass raises, its step counts are replayed one by one, so the error
     is the one a loop over :func:`transform_quadrature` raises, at its
     first failing ``n``.
@@ -688,7 +724,7 @@ def _transform_batch(signal: TimeSignal, kernels: list,
         # refine asks again only while a row is open: one row is open then
         rows = every if open_ is True or every.size == 1 else np.flatnonzero(
             np.reshape(open_, (every.size, -1)).any(axis=1))
-        weights, times = [], []
+        weights, times, terms = [], [], []
         for i in rows:
             nodes, w = _laguerre_rule(m, kernels[i].n - 1)
             # far nodes whose weights underflow to 0 contribute nothing;
@@ -697,16 +733,20 @@ def _transform_batch(signal: TimeSignal, kernels: list,
             live = w > 0.0
             weights.append(w[live])
             times.append(kernels[i].tau * nodes[live])
+            # a reweighted rule also rounds its Delta-th power, the product
+            # and the rescaling to sum 1
+            delta = _shape_shift(kernels[i].n - 1)
+            terms.append(math.log2(m) + (delta + 2 if delta else 0))
 
         def reduce(j, f):
-            # the sum and a bound on its rounding, eps log2(m) sum w |f|,
-            # with |Re f| + |Im f| >= |f| for a complex f
+            # the sum and a bound on its rounding, eps (log2(m) [+ Delta + 2])
+            # sum w |f|, with |Re f| + |Im f| >= |f| for a complex f
             size = np.abs(f) if f.dtype.kind != "c" else np.abs(f.real) + np.abs(f.imag)
-            return pairwise_dot(weights[j], f), pairwise_dot(weights[j], size)
+            return (pairwise_dot(weights[j], f),
+                    EPS * terms[j] * pairwise_dot(weights[j], size))
 
-        sums, sizes = (np.array(part) for part in zip(*_evaluate_blocks(
+        sums, rounding = (np.array(part) for part in zip(*_evaluate_blocks(
             evaluate, times, reduce)))
-        rounding = EPS * math.log2(m) * sizes
         if rows.size == every.size:
             return sums, rounding
         # the rows of closed step counts are never read
@@ -724,11 +764,20 @@ def _transform_batch(signal: TimeSignal, kernels: list,
         left = nodes == 0
         if left.any():
             rest = evaluate if left.all() else (
-                lambda t: np.asarray(evaluate(t))[:, left])
+                lambda t: _open_columns(evaluate, left, t))
             one[left], err[left] = _adaptive_fallback(rest, kernel, rel)
             method = "adaptive"
         results.append(_result(one, err, nodes.max(), method, prefactor))
     return results
+
+
+def _open_columns(evaluate, left, t):
+    """The columns ``left`` of ``evaluate(t)``, from signal calls of at most
+    :data:`_BATCH_POINTS` points: the panel fallback of a few open columns
+    of a wide signal holds no full-width array of its thousands of points."""
+    blocks = [t[i:i + _BATCH_POINTS] for i in range(0, t.size, _BATCH_POINTS)]
+    return np.concatenate(_evaluate_blocks(
+        evaluate, blocks, lambda _, f: f[:, left]))
 
 
 def _adaptive_fallback(evaluate, kernel: GammaKernel, rel: float):

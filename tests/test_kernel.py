@@ -189,18 +189,36 @@ def _christoffel_and_root(m, shape, u):
 
 
 @pytest.mark.parametrize("m, shape", [
-    (m, s) for m in (32, 64, 128, 256) for s in (0, 1, 98, 399, 799)]
-    + [(256, 5000), (128, 20000)])
+    (m, s) for m in (32, 64, 128, 256) for s in (0, 1, 96, 384, 784)]
+    + [(256, 4992), (128, 20000)])
 def test_rule_matches_the_christoffel_function_and_the_roots(m, shape):
-    # every weight is its node's Christoffel function to 1e-13 relative, a
-    # far one too, and every node is at most 4 doubles from the correctly
-    # rounded root; (256, 5000) and (128, 20000) lie past the compiled
-    # evaluation's overflow and take the orthonormal recurrence
+    # at an anchor shape (below 16 or a multiple of 16, the shapes whose
+    # rules are solved) every weight is its node's Christoffel function to
+    # 1e-13 relative, a far one too, and every node is at most 4 doubles
+    # from the correctly rounded root; (256, 4992) and (128, 20000) lie
+    # past the compiled evaluation's overflow and take the orthonormal
+    # recurrence
     nodes, weights = kernel._laguerre_rule(m, shape)
     for u, w in zip(nodes, weights):
         christoffel, root = _christoffel_and_root(m, shape, u)
         assert abs(w - christoffel) <= 1e-13 * christoffel, (m, shape, u)
         assert abs(u - float(root)) <= 4 * np.spacing(float(root)), (m, shape, u)
+
+
+@pytest.mark.parametrize("shape", [17, 31, 399, 799, 5000])
+def test_reweighted_rule_matches_the_moments_of_its_weight(shape):
+    # a shape between anchors reweights its anchor's rule by u^Delta,
+    # Delta <= 15: exact to degree 2m - 1 - Delta >= 48 against the
+    # gamma(shape + 1) weight, whose j-th moment is (shape + 1)_j
+    for m in (32, 64, 128, 256):
+        nodes, weights = kernel._laguerre_rule(m, shape)
+        with mpmath.workdps(40):
+            u = [mpmath.mpf(float(x)) for x in nodes]
+            w = [mpmath.mpf(float(x)) for x in weights]
+            for j in range(31):
+                got = mpmath.fsum(wi * ui ** j for wi, ui in zip(w, u))
+                want = mpmath.rf(shape + 1, j)
+                assert abs(got - want) <= 1e-13 * want, (m, shape, j)
 
 
 @pytest.mark.parametrize("m", [32, 64, 128, 256])
@@ -382,6 +400,25 @@ def test_smooth_signal_at_large_n_needs_one_doubling(monkeypatch):
     res = transform_quadrature(cosine_signal(1.5), GammaKernel(800, 0.1))
     assert sorted(set(sizes)) == [32, 64]
     assert res.method == "laguerre" and res.node_count == 64
+
+
+def test_a_range_pass_solves_rules_at_anchor_shapes_only(monkeypatch):
+    # n = 1..800 of cos 1.5t at tau = 0.1 needs rules at every shape n - 1,
+    # but eigenvalues are solved only at the anchors: below 16 and the
+    # multiples of 16; the shapes between reweight their anchor's rule
+    import scipy.linalg.lapack as lapack
+    solved, dsterf = [], lapack.dsterf
+
+    def spy(diag, off):
+        solved.append(int(diag[0]) - 1)  # diagonal 2k + a + 1 at k = 0
+        return dsterf(diag, off)
+
+    monkeypatch.setattr(lapack, "dsterf", spy)
+    kernel._laguerre_rule.cache_clear()
+    results = list(kernel._transform_steps(
+        cosine_signal(1.5), range(1, 801), 0.1, kernel.DEFAULT_ERROR_TARGET))
+    assert len(results) == 800
+    assert set(solved) == set(range(16)) | set(range(16, 800, 16))
 
 
 SWEEP_TAU = 0.1
@@ -762,6 +799,21 @@ def test_batched_pass_shares_signal_calls_within_the_block():
     assert sum(batch_sizes) == sum(loop_sizes)
     assert max(batch_sizes) <= kernel._BATCH_POINTS
     assert len(batch_sizes) * 5 < len(loop_sizes)
+
+
+def test_fallback_of_one_open_column_calls_the_signal_in_blocks():
+    # one of 64 columns (cos 3t at tau = 1, n = 10) defeats the rules: the
+    # panels take only that column, from signal calls of at most
+    # _BATCH_POINTS of their thousands of points, and give it the value
+    # and error of its scalar transform
+    freqs = np.array([3.0] + [0.01] * 63)
+    wide, sizes = _counting(kernel.TimeSignal(
+        lambda t: np.cos(np.outer(np.asarray(t), freqs)), 0.0))
+    got = transform_quadrature(wide, GammaKernel(10, 1.0))
+    one = transform_quadrature(cosine_signal(3.0), GammaKernel(10, 1.0))
+    assert got.method == one.method == "adaptive"
+    assert (got.value[0], got.error[0]) == (one.value, one.error)
+    assert max(sizes) <= kernel._BATCH_POINTS
 
 
 def _late_blowup(t):
