@@ -278,6 +278,15 @@ class MomentReport:
             yield [n, None, None, "energy", float(self.energy[k])]
 
 
+def _pair_layout(l: int):
+    """``np.triu_indices(l)`` and the ``l x l`` symmetric index of each pair
+    among them, which gathers a row of pair moments into its matrix."""
+    iu, ju = np.triu_indices(l)
+    pos = np.empty((l, l), dtype=int)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return iu, ju, pos
+
+
 def _linear_moments(state: PhaseState, kernel: GammaKernel,
                     omega) -> MomentReport:
     """Closed-form report of the linear model over ``n = 0..kernel.n``.
@@ -298,7 +307,7 @@ def _linear_moments(state: PhaseState, kernel: GammaKernel,
     l, rows, (mt, kt) = state.dof, kernel.n + 1, math.frexp(kernel.tau)
     model = _LinearModel(omega)
     w, a, b, c = model._amplitudes(state)
-    bt, (iu, ju) = b * kernel.tau, np.triu_indices(l)
+    bt, (iu, ju, pos) = b * kernel.tau, _pair_layout(l)
     n = np.arange(1, rows)[:, None]
     nu, at = np.unique(np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]]),
                        return_inverse=True)
@@ -318,8 +327,6 @@ def _linear_moments(state: PhaseState, kernel: GammaKernel,
     drift = (a * n * _phase_power(n + 1, -w * mt, kt)[0]).real
     pair[0, 1:] += (bt[ju] * drift[:, iu] + bt[iu] * drift[:, ju]
                     + bt[iu] * bt[ju] * (n * (n + 1)))
-    pos = np.empty((l, l), dtype=int)
-    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
     return MomentReport(
         steps=np.arange(rows), mean_positions=mean[0], mean_momenta=mean[1],
         second_positions=pair[0][:, pos], second_momenta=pair[1][:, pos],
@@ -420,7 +427,7 @@ def quadrature_moments(model, state: PhaseState,
     """
     n_values = np.arange(kernel.n + 1)
     l = state.dof
-    iu, ju = np.triu_indices(l)
+    iu, ju, pos = _pair_layout(l)
     energy_of = getattr(model, "energy", None)
 
     def columns(x, p):
@@ -430,15 +437,11 @@ def quadrature_moments(model, state: PhaseState,
         return np.concatenate(cols, axis=1)
 
     values = evolve_observable(model, state, columns, kernel)
-    pairs = iu.size
-    second_x = np.empty((n_values.size, l, l))
-    second_p = np.empty((n_values.size, l, l))
-    second_x[:, iu, ju] = second_x[:, ju, iu] = values[:, 2 * l:2 * l + pairs]
-    second_p[:, iu, ju] = second_p[:, ju, iu] = values[:, 2 * l + pairs:2 * l + 2 * pairs]
     energy = (values[:, -1] if energy_of is not None
               else np.full(n_values.size, np.nan))
     return MomentReport(steps=n_values,
                         mean_positions=values[:, :l],
                         mean_momenta=values[:, l:2 * l],
-                        second_positions=second_x, second_momenta=second_p,
+                        second_positions=values[:, 2 * l + pos],
+                        second_momenta=values[:, 2 * l + iu.size + pos],
                         energy=energy, source="quadrature")

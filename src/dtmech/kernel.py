@@ -12,9 +12,9 @@ internal clock with mean ``n*tau`` and standard deviation ``sqrt(n)*tau``.
 This module provides the weight density, two independent evaluation routes
 for the smearing integral (generalized Gauss--Laguerre quadrature, with
 nodes from the Jacobi matrix's eigenvalues alone and Christoffel-function
-weights, solved at anchor shapes only and reweighted by ``u^Delta`` for the
-shapes between them, and Monte Carlo over internal-time draws), sampling of the
-internal clock, and the
+weights, solved by ``_laguerre_rule`` at anchor shapes only and reweighted by
+``u^Delta`` in ``_rule_at`` for the shapes between them, and Monte Carlo over
+internal-time draws), sampling of the internal clock, and the
 analysis of one-step mixing schemes: the signed delta coefficient, the exact
 decomposition of the smearing density into gamma mixtures, and a spectral
 advection probe that exhibits scheme-induced negativity on a periodic grid.
@@ -100,8 +100,8 @@ _BATCH_STEPS = 32
 
 #: Gauss--Laguerre rules are solved only at anchor shapes: every shape below
 #: _SHAPE_BLOCK and every multiple of it.  Any other shape reweights the rule
-#: of the anchor below it, at most _SHAPE_BLOCK - 1 shapes away, so a range
-#: of step counts solves about one rule per node count and block.
+#: of the anchor below it, at most _SHAPE_BLOCK - 1 shapes away (_rule_at),
+#: so a range of step counts solves about one rule per node count and block.
 _SHAPE_BLOCK = 16
 
 
@@ -355,24 +355,12 @@ def tabulated_signal(times, values) -> TimeSignal:
 
 @lru_cache(maxsize=256)
 def _laguerre_rule(node_count: int, shape_param: int):
-    """Nodes/weights for the weight ``u**shape_param * exp(-u)``, normalized
-    to sum to 1, on the nodes ``u <= U(shape_param + 1)`` alone (the window
-    of :func:`screening_horizon`, past which the weight is spent).
+    """Gauss--Laguerre nodes and weights for ``u**shape_param * exp(-u)``,
+    solved at that very shape (each cache miss is one solve; transforms ask
+    through :func:`_rule_at`), normalized to sum to 1, on the nodes ``u <=
+    U(shape_param + 1)`` alone, the window of :func:`screening_horizon`.
 
-    With ``m = node_count`` and ``a = shape_param``, a rule is solved only at
-    an anchor shape: ``a < 16`` or a multiple of 16 (:data:`_SHAPE_BLOCK`).
-    Any other shape takes the rule of its anchor ``b = 16 floor(a / 16)``,
-    ``Delta = a - b <= 15`` below it, from this same cache: the anchor's
-    nodes, with weights ``w_i (u_i / (b + 1))**Delta`` scaled to sum to 1.
-    Since ``u^a e^-u / a! = u^Delta / (b + 1)_Delta * u^b e^-u / b!``, that
-    rule integrates every polynomial up to degree ``2m - 1 - Delta`` exactly
-    against the gamma(``a + 1``) weight (a polynomial modification of the
-    weight; Gautschi 2004, sec. 2.4); its nodes stay below ``U(b + 1) <=
-    U(a + 1)``, and each weight is the anchor's times a factor right
-    relative to itself, so a far weight stays right relative to its size.
-    The one-node rule is node ``a + 1`` with weight 1 at every shape.
-
-    At an anchor, the nodes are the
+    With ``m = node_count`` and ``a = shape_param``, the nodes are the
     eigenvalues of the Jacobi matrix of the generalized Laguerre recurrence
     (diagonal ``2k + a + 1``, off-diagonal ``sqrt(k (k + a))``; Golub and
     Welsch 1969), from LAPACK ``dsterf`` without eigenvectors, each polished
@@ -389,60 +377,71 @@ def _laguerre_rule(node_count: int, shape_param: int):
     smallest double, 0.
     """
     a, m = shape_param, node_count
-    delta = _shape_shift(a)
-    if m == 1:
-        nodes, weights = np.array([a + 1.0]), np.array([1.0])
-    elif delta:
-        b = a - delta
-        nodes, anchor = _laguerre_rule(m, b)
-        weights = anchor * (nodes / (b + 1.0)) ** delta
-        weights = weights / weights.sum()
+    from scipy.linalg.lapack import dsterf  # on first use, as above
+    from scipy.special import binom, eval_genlaguerre
+    k = np.arange(m + 1.0)
+    diag, off = 2.0 * k + a + 1.0, np.sqrt(k * (k + a))
+    x, _ = dsterf(diag[:m], off[1:m])
+    x = x[x <= _window(a + 1)]
+    scale = binom(m + a, m)
+    if np.isfinite(scale * m):  # C(m + a, m - 1) is scale m / (a + 1)
+        # all over sqrt(C(m-1+a, m-1) / m), so that K comes out as it is;
+        # L_{m-1}^a = b and L_{m-2}^{a+1} = d - b follow from the two
+        # evaluated here, and L_m^a' = -L_{m-1}^{a+1}
+        c = math.sqrt(binom(m - 1 + a, m - 1) / m)
+
+        def newton_and_christoffel(x):
+            lm = eval_genlaguerre(m, a, x) / c
+            d = eval_genlaguerre(m - 1, a + 1, x) / c
+            b = (x * d + m * lm) / (m + a)
+            return -lm / d, d * b - (d - b) * lm
     else:
-        from scipy.linalg.lapack import dsterf  # on first use, as above
-        from scipy.special import binom, eval_genlaguerre
-        k = np.arange(m + 1.0)
-        diag, off = 2.0 * k + a + 1.0, np.sqrt(k * (k + a))
-        x, _ = dsterf(diag[:m], off[1:m])
-        x = x[x <= _window(a + 1)]
-        scale = binom(m + a, m)
-        if np.isfinite(scale * m):  # C(m + a, m - 1) is scale m / (a + 1)
-            # all over sqrt(C(m-1+a, m-1) / m), so that K comes out as it
-            # is; L_{m-1}^a = b and L_{m-2}^{a+1} = d - b follow from the two
-            # evaluated here, and L_m^a' = -L_{m-1}^{a+1}
-            c = math.sqrt(binom(m - 1 + a, m - 1) / m)
+        def newton_and_christoffel(x):
+            # orthonormal p_k and p_k': (p_m / p_m', sum_{k<m} p_k^2)
+            p_, p, dp_, dp = 0.0, np.ones_like(x), 0.0, np.zeros_like(x)
+            total = np.zeros_like(x)
+            for j in range(m):
+                total += p * p
+                gap = x - diag[j]
+                p_, p = p, (gap * p - off[j] * p_) / off[j + 1]
+                dp_, dp = dp, (p_ + gap * dp - off[j] * dp_) / off[j + 1]
+            return p / dp, total
 
-            def newton_and_christoffel(x):
-                lm = eval_genlaguerre(m, a, x) / c
-                d = eval_genlaguerre(m - 1, a + 1, x) / c
-                b = (x * d + m * lm) / (m + a)
-                return -lm / d, d * b - (d - b) * lm
-        else:
-            def newton_and_christoffel(x):
-                # orthonormal p_k and p_k': (p_m / p_m', sum_{k<m} p_k^2)
-                p_, p, dp_, dp = 0.0, np.ones_like(x), 0.0, np.zeros_like(x)
-                total = np.zeros_like(x)
-                for j in range(m):
-                    total += p * p
-                    gap = x - diag[j]
-                    p_, p = p, (gap * p - off[j] * p_) / off[j + 1]
-                    dp_, dp = dp, (p_ + gap * dp - off[j] * dp_) / off[j + 1]
-                return p / dp, total
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = newton_and_christoffel(x)[0]
-            x = np.where(np.isfinite(step), x - step, x)
-            # an overflowed K (nan from inf - inf too) is a weight of 0
-            weights = np.fmax(1.0 / newton_and_christoffel(x)[1], 0.0)
-        nodes, weights = x, weights / weights.sum()
-    nodes.setflags(write=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = newton_and_christoffel(x)[0]
+        x = np.where(np.isfinite(step), x - step, x)
+        # an overflowed K (nan from inf - inf too) is a weight of 0
+        weights = np.fmax(1.0 / newton_and_christoffel(x)[1], 0.0)
+    weights = weights / weights.sum()
+    x.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return x, weights
 
 
-def _shape_shift(shape_param: int) -> int:
-    """``Delta``: how far ``shape_param`` lies above the anchor shape whose
-    rule :func:`_laguerre_rule` reweights for it; 0 at an anchor."""
-    return shape_param % _SHAPE_BLOCK if shape_param >= _SHAPE_BLOCK else 0
+def _rule_at(node_count: int, shape_param: int):
+    """``(nodes, weights, rounding)``: the ``m``-node rule a transform uses
+    for the weight ``u**a exp(-u)``, ``a = shape_param``, and the multiple
+    of ``eps sum w |f|`` that bounds the rounding of its sum: ``log2(m)``,
+    plus ``Delta + 2`` for a reweighted rule (power, product and rescaling).
+
+    Only anchor shapes are solved (:func:`_laguerre_rule`): ``a < 16`` and
+    the multiples of 16 (:data:`_SHAPE_BLOCK`).  Any other ``a`` reweights
+    the rule of its anchor ``b = 16 floor(a / 16)``, ``Delta = a - b``: the
+    anchor's nodes, with weights ``w_i (u_i / (b + 1))**Delta`` scaled to
+    sum to 1.  Since ``u^a e^-u / a! = u^Delta / (b + 1)_Delta * u^b e^-u /
+    b!``, that rule is exact to degree ``2m - 1 - Delta`` (a polynomial
+    modification of the weight; Gautschi 2004, sec. 2.4), its nodes stay
+    below ``U(b + 1) <= U(a + 1)``, and a far weight stays right relative to
+    its size.  A reweight costs microseconds, a solve up to milliseconds, so
+    reweighted rules are not cached.
+    """
+    m, a = node_count, shape_param
+    delta = a % _SHAPE_BLOCK if a >= _SHAPE_BLOCK else 0
+    nodes, weights = _laguerre_rule(m, a - delta)
+    if not delta:
+        return nodes, weights, math.log2(m)
+    weights = weights * (nodes / (a - delta + 1.0)) ** delta
+    return nodes, weights / weights.sum(), math.log2(m) + (delta + 2)
 
 
 @dataclass(frozen=True)
@@ -656,9 +655,9 @@ def transform_quadrature(signal: TimeSignal, kernel: GammaKernel,
     the rule's relative target (or :data:`ABSOLUTE_FLOOR` absolutely),
     exactly as a scalar transform of it would; its error is the difference
     of that doubling plus the rounding of the ``m``-node sum, ``eps
-    log2(m) sum w |f|``, and, where the rule is its anchor's reweighted by
-    ``u^Delta`` (:func:`_laguerre_rule`), of those weights, ``eps (Delta +
-    2) sum w |f|`` more.  Columns
+    log2(m) sum w |f|``, and, where :func:`_rule_at` reweights an anchor's
+    rule (solved by :func:`_laguerre_rule`) by ``u^Delta``, of those
+    weights, ``eps (Delta + 2) sum w |f|`` more.  Columns
     still open at :data:`MAX_NODE_COUNT` — oscillatory signals with
     ``omega*tau`` large defeat polynomial rules, and a larger rule costs
     more to build than the panels cost to sum — are summed together over
@@ -726,21 +725,18 @@ def _transform_batch(signal: TimeSignal, kernels: list,
             np.reshape(open_, (every.size, -1)).any(axis=1))
         weights, times, terms = [], [], []
         for i in rows:
-            nodes, w = _laguerre_rule(m, kernels[i].n - 1)
+            nodes, w, term = _rule_at(m, kernels[i].n - 1)
             # far nodes whose weights underflow to 0 contribute nothing;
             # skipping them keeps growing signals from manufacturing inf * 0
             # at times that are irrelevant anyway
             live = w > 0.0
             weights.append(w[live])
             times.append(kernels[i].tau * nodes[live])
-            # a reweighted rule also rounds its Delta-th power, the product
-            # and the rescaling to sum 1
-            delta = _shape_shift(kernels[i].n - 1)
-            terms.append(math.log2(m) + (delta + 2 if delta else 0))
+            terms.append(term)
 
         def reduce(j, f):
-            # the sum and a bound on its rounding, eps (log2(m) [+ Delta + 2])
-            # sum w |f|, with |Re f| + |Im f| >= |f| for a complex f
+            # the sum and a bound on its rounding, eps term sum w |f|
+            # (_rule_at), with |Re f| + |Im f| >= |f| for a complex f
             size = np.abs(f) if f.dtype.kind != "c" else np.abs(f.real) + np.abs(f.imag)
             return (pairwise_dot(weights[j], f),
                     EPS * terms[j] * pairwise_dot(weights[j], size))

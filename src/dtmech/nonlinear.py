@@ -38,7 +38,8 @@ import numpy as np
 from ._util import (EPS, FIRST_PANELS, LOG_MAX_DOUBLE, MAX_PANELS,
                     legendre_panels, refine)
 from .errors import DivergentTransform, FitUnstable, QuadratureNotConverged
-from .kernel import GammaKernel, _growth, _positive, _step_count
+from .kernel import (DEFAULT_ERROR_TARGET, GammaKernel, _growth, _positive,
+                     _step_count)
 
 __all__ = [
     "SensitivityModel",
@@ -61,11 +62,10 @@ FIT_RESIDUAL_LIMIT = 2.0
 # samples with |sin(phase)| below this would inject -inf spikes into log fits
 PHASE_NODE_CUTOFF = 0.05
 # chirped expectation: heights of the horizontal leg as fractions of
-# pi/(2 lam) (the lowest one serves growth per step below about 0.01), the
-# relative error target, and b e^{lam X} at the path's end X; the height
-# probe uses the first panel count of the shared panel rules
+# pi/(2 lam) (the lowest one serves growth per step below about 0.01) and
+# b e^{lam X} at the path's end X; the height probe uses the first panel
+# count of the shared panel rules, and the target is DEFAULT_ERROR_TARGET
 CONTOUR_HEIGHTS = (1 / 1024, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
-CHIRP_REL_TARGET = 1e-10
 CONTOUR_END = 12.0
 # contour paths kept for reuse across n: one (lam, b) family over n builds
 # 12 to 15 (the seven height probes and the doublings at the heights
@@ -263,9 +263,9 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
     lowest peak log-magnitude, the least cancellation.  Both legs get equal
     Gauss--Legendre panels, doubled by the shared doubling loop until the
     spread against half as many panels, the tail and the summation roundoff
-    add up to at most :data:`CHIRP_REL_TARGET` of the value.  Past
-    ``MAX_PANELS``, once the tail and roundoff alone exceed that target, or
-    when lam is so small that X is not finite, the call raises
+    add up to at most :data:`~dtmech.kernel.DEFAULT_ERROR_TARGET` of the
+    value.  Past ``MAX_PANELS``, once the tail and roundoff alone exceed that
+    target, or when lam is so small that X is not finite, the call raises
     :class:`QuadratureNotConverged`.  The reported error adds the rounding
     of each term's exponent, which more panels cannot shrink.
     """
@@ -308,7 +308,7 @@ def chirped_sine_expectation(n: int, lam: float, b: float) -> ChirpedExpectation
             tail + EPS * math.log2(terms.size) * float(np.sum(magnitude))
 
     fine, error, kept, reached = refine(contour, FIRST_PANELS, MAX_PANELS,
-                                        CHIRP_REL_TARGET)
+                                        DEFAULT_ERROR_TARGET)
     if not kept:
         value = _rescaled(fine, log_scale)
         error = _rescaled(error, log_scale)
