@@ -3,7 +3,8 @@ r"""Discrete-time classical mechanics: closed-form moments and an ODE route.
 Phase-space observables evolve by smearing the continuous trajectory with the
 gamma weight of :mod:`dtmech.kernel`.  Free particles and harmonic
 oscillators are one linear model, whose smeared means and pair moments obey
-the paper's backward-difference law and so have closed forms; a generic
+the paper's backward-difference law and so have closed forms, read from
+the kernel's one split of the smeared phase at ``omega tau``; a generic
 first-order field is handled by dense-output integration feeding the same
 transform.  The quadrature route exists to cross-check the closed forms, so
 both produce the same :class:`MomentReport` shape.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import StiffnessFailure
 from .kernel import (DEFAULT_ERROR_TARGET, GammaKernel, TimeSignal,
-                     _phase_power, _positive, _transform_steps,
+                     _phase_log, _phase_power, _positive, _transform_steps,
                      screening_horizon)
 
 __all__ = [
@@ -304,14 +305,14 @@ def _linear_moments(state: PhaseState, kernel: GammaKernel,
     state itself; the energy is ``H(x0, p0)``.
     """
     x0, p0, m = state.positions, state.momenta, state.masses
-    l, rows, (mt, kt) = state.dof, kernel.n + 1, math.frexp(kernel.tau)
+    l, rows = state.dof, kernel.n + 1
     model = _LinearModel(omega)
     w, a, b, c = model._amplitudes(state)
     bt, (iu, ju, pos) = b * kernel.tau, _pair_layout(l)
     n = np.arange(1, rows)[:, None]
     nu, at = np.unique(np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]]),
                        return_inverse=True)
-    s0 = _phase_power(n, -nu * mt, kt)[0]  # -nu tau = -nu mt 2^kt, exactly
+    s0 = _phase_power(n, _phase_log(-nu, kernel.tau))[0]
     mean = np.empty((2, rows, l))
     mean[:, 0] = x0, p0
     mean[:, 1:] = (a * s0[:, at[:l]]).real + bt * n, (c * s0[:, at[:l]]).real
@@ -324,7 +325,7 @@ def _linear_moments(state: PhaseState, kernel: GammaKernel,
     np.einsum("csp,nsp->cnp", np.concatenate([coef.real, -coef.imag], axis=1),
               s0.view(float)[:, np.concatenate([col, col + 1])],
               out=pair[:, 1:])
-    drift = (a * n * _phase_power(n + 1, -w * mt, kt)[0]).real
+    drift = (a * n * _phase_power(n + 1, _phase_log(-w, kernel.tau))[0]).real
     pair[0, 1:] += (bt[ju] * drift[:, iu] + bt[iu] * drift[:, ju]
                     + bt[iu] * bt[ju] * (n * (n + 1)))
     return MomentReport(

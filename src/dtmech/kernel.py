@@ -18,15 +18,19 @@ internal-time draws), sampling of the internal clock, and the
 analysis of one-step mixing schemes: the signed delta coefficient, the exact
 decomposition of the smearing density into gamma mixtures, and a spectral
 advection probe that exhibits scheme-induced negativity on a periodic grid.
+It also takes the smeared phase ``(1 + iw)^-n``, ``w = omega tau``, apart
+once (``_phase_log``), for the advection symbol, ``classical``'s closed
+moments and ``quantum``'s factors, lifetimes and defects to read.
 
-scipy is imported inside the four functions that call it (here, in
+scipy is imported inside the three functions that call it (here, in
 ``classical`` and in ``nonlinear``), never at module level: ``import dtmech``
 loads no scipy module, and a command pays for scipy only when it builds a
-Gauss--Laguerre rule, takes a log-gamma or solves a user ODE.
+Gauss--Laguerre rule, maps a power law or solves a user ODE.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -170,39 +174,51 @@ def _backward(scheme: "StepScheme", what: str) -> float:
     return scheme.beta
 
 
-def _phase_log(z):
-    """``(log|1 + iz|, arctan z)`` for real ``z``: ``-n`` times them are the
-    log-modulus and angle of ``(1 + iz)^-n``, the gamma(n) smearing of the
-    phase ``e^{-i omega t}`` at ``z = omega tau``.  The first is
-    ``log|z| + 0.5 log1p(z^-2)`` where ``z^2`` overflows, so no real ``z``
-    (0 and +-inf too) makes numpy warn."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        z2 = z * z
-    big = np.isinf(z2)
-    a = np.where(big, np.abs(z), 1.0)
-    rate = np.where(big, np.log(a) + 0.5 * np.log1p(a ** -2.0), 0.5 * np.log1p(z2))
-    return rate, np.arctan(z)
+#: ln 2 split as by Cody and Waite: k * _LN2_HI is exact for every exponent k
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+#: w = z 2^e taken apart by _phase_log: log|1 + iw| = k ln 2 + r, arctan w
+_Phase = namedtuple("_Phase", "z e k r angle")
 
 
-def _phase_power(n, z, e=0):
-    """``((1 + iw)^-n, |1 + iw|^-n)`` for real ``w = z 2^e`` and counts ``n >=
-    0`` (``n >= 1`` at an infinite ``z``), broadcast together: the one power
-    of :func:`_phase_log`'s output.  From ``|w| = 1`` on, ``w = m 2^k`` with
-    ``1 <= m < 2`` and the modulus is ``2^(-n k) exp(-n r)``, ``r = log m +
-    0.5 log1p(w^-2)`` in [0, 1.04]: ``r``'s rounding costs ``n r eps/2``, not
-    ``n log|w| eps/2``.  ``e`` keeps the digits of a ``w`` past the largest
-    double; ``n k`` is clipped at 1100, past which the modulus is 0."""
+def _phase_log(x, s, e=0) -> _Phase:
+    """The one split of ``w = x s 2^e`` (``x s`` is ``omega tau``, or a gap
+    times ``tau/hbar``), formed from the mantissas and exponents of ``x`` and
+    ``s``, so a ``w`` past the largest double or below the normal range keeps
+    its digits.  ``-n log|1 + iw|`` and ``-n arctan w`` are the log-modulus
+    and angle of ``(1 + iw)^-n``, the gamma(n) smearing of ``e^{-i omega t}``.
+    Below ``|w| = 1``, ``k = 0`` and ``r = 0.5 log1p(w^2)``; from ``|w| = 1``
+    on, ``w = m 2^k`` with ``1 <= m < 2`` and ``r = log m + 0.5 log1p(w^-2)``,
+    in [0, 1.04].  No real ``x`` makes numpy warn."""
+    (mx, ex), (ms, es) = np.frexp(x), np.frexp(s)
+    z, e = mx * ms, ex + es + e
+    m, k = np.frexp(np.abs(z))
     with np.errstate(over="ignore"):
         w = np.ldexp(z, e)
-    rate, angle = _phase_log(w)
-    m, k = np.frexp(np.abs(z))
-    k = np.where(z != 0, k - 1 + e, -1)  # |w| = 2m 2^k with 1 <= 2m < 2
-    rate = np.where(k >= 0, np.log(np.maximum(2.0 * m, 1.0)) + 0.5 * np.log1p(
-        np.maximum(np.abs(w), 1.0) ** -2.0), rate)
-    modulus = np.ldexp(np.exp(-n * rate),
-                       -np.minimum(n, 1100) * np.clip(k, 0, 1100))
-    return modulus * np.exp(-1j * n * angle), modulus
+        big = np.abs(w) >= 1.0
+        r = np.where(big, np.log(np.maximum(2.0 * m, 1.0)) + 0.5 * np.log1p(
+            np.maximum(np.abs(w), 1.0) ** -2.0), 0.5 * np.log1p(w * w))
+    return _Phase(z, e, np.where(big, k - 1 + e, 0), r, np.arctan(w))
+
+
+def _phase_rate(p: _Phase):
+    """``log|1 + iw| = c 2^j`` from the split ``p``: ``c = k ln 2 + r``, ``j =
+    0``, save below ``|w| = 2^-27``, where ``log1p(w^2)`` is ``w^2`` to
+    rounding: there ``c = z^2/2`` and ``j = 2e``, so no digit is lost."""
+    with np.errstate(over="ignore"):
+        tiny = np.abs(np.ldexp(p.z, p.e)) < 2.0 ** -27
+    c = np.where(tiny, 0.5 * p.z * p.z, p.k * _LN2_HI + (p.r + p.k * _LN2_LO))
+    return c, np.where(tiny, 2 * p.e, 0)
+
+
+def _phase_power(n, p: _Phase):
+    """``((1 + iw)^-n, |1 + iw|^-n)`` for counts ``n >= 0`` (``n >= 1`` at an
+    infinite ``w``) broadcast against the split ``p``: the modulus is ``2^(-n
+    k) exp(-n r)``, so ``r``'s rounding costs ``n r eps/2``, not ``n log|w|
+    eps/2``; ``n`` and ``k`` are clipped at 1100, past which it is 0."""
+    modulus = np.ldexp(np.exp(-n * p.r),
+                       -np.minimum(n, 1100) * np.minimum(p.k, 1100))
+    return modulus * np.exp(-1j * n * p.angle), modulus
 
 
 def gamma_density(kernel: GammaKernel, xi):
@@ -239,8 +255,7 @@ def _log_density_core(kernel: GammaKernel, s):
     r = s / tau
     if n == 1:
         return -r - math.log(tau)
-    from scipy.special import gammaln  # on first use; see module docstring
-    return (n - 1) * np.log(r) - r - gammaln(n) - math.log(tau)
+    return (n - 1) * np.log(r) - r - math.lgamma(n) - math.log(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +1023,9 @@ def advection_negativity_probe(scheme: StepScheme, kernel: GammaKernel,
     initial = np.exp(-0.5 * ((grid - center) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     k = 2.0 * math.pi * np.fft.rfftfreq(points, d=dx)
     # the symbol in log-polar form, from (1 - i a) = |1 + i a| e^{-i atan a}
-    (rate_a, rate_b), (angle_a, angle_b) = _phase_log(
-        np.outer([scheme.alpha * tau, beta * tau], k))
+    phase = _phase_log(k, np.array([[scheme.alpha * tau], [beta * tau]]))
+    rate_a, rate_b = np.ldexp(*_phase_rate(phase))
+    angle_a, angle_b = phase.angle
     symbol = np.exp(n * (rate_a - rate_b) - 1j * n * (angle_a + angle_b))
     evolved = np.fft.irfft(np.fft.rfft(initial) * symbol, n=points)
     return AdvectionProbe(

@@ -9,10 +9,14 @@ factor matrix is a Gram matrix (it is the smeared average of ``e^{-i e_a t
 u/hbar}`` phases), evolution is a Schur multiplier that preserves positivity
 exactly; no unitary single-step generator reproduces it, and the size of
 that obstruction is exposed as a phase-consistency defect.
+
+Each phase ``tau (e_a - e_b)/hbar`` goes to the kernel's one split
+(``kernel._phase_log``) as the gap and ``tau/hbar``, so every factor,
+lifetime and defect keeps its digits at any finite gap; a nan gap is
+refused as ``ValueError``.
 """
 from __future__ import annotations
 
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ import numpy as np
 
 from ._util import modulus
 from .kernel import (GammaKernel, TimeSignal, _phase_log, _phase_power,
-                     _positive, _step_count, transform_quadrature)
+                     _phase_rate, _positive, _step_count, transform_quadrature)
 
 __all__ = [
     "DensityMatrix",
@@ -42,8 +46,6 @@ __all__ = [
 
 ELECTRON_VOLT = 1.602176634e-19  # J
 SECONDS_PER_YEAR = 3.15576e7  # Julian year
-# ln 2 split as by Cody and Waite: k * LN2_HI is exact for every exponent k
-LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,6 @@ class PhysicalConstants:
         if ratio < sys.float_info.min:
             raise ValueError(f"tau/hbar = {ratio!r} is subnormal (below "
                              f"{sys.float_info.min!r}), so digits are lost")
-
-    def phase_scale(self, delta_e) -> np.ndarray | float:
-        """Dimensionless per-step phase tau * delta_e / hbar."""
-        return np.asarray(delta_e, dtype=float) * (self.tau / self.hbar)
 
 
 NATURAL = PhysicalConstants(hbar=1.0, tau=1.0)
@@ -146,29 +144,29 @@ def project_density(energies, coeffs) -> DensityMatrix:
 
 
 def _gap_phase(constants: PhysicalConstants, e_a, e_b=0.0):
-    """``(z, e, log|1 + iw|)`` for ``w = z 2^e = tau (e_a - e_b) / hbar``, the
-    gap taken as ``2 (e_a/2 - e_b/2)`` where it overflows.  Where ``w`` does,
-    ``z`` and ``e`` are the mantissa product and exponent sum of the gap,
-    ``tau`` and ``1/hbar``, and the log is ``e ln 2 + log|z|``; else e = 0."""
+    """The kernel's split of ``w = tau (e_a - e_b) / hbar``, the gap taken as
+    ``2 (e_a/2 - e_b/2)`` where it overflows; a nan gap is ``ValueError``."""
     with np.errstate(over="ignore"):
         gap = np.subtract(e_a, e_b)
         wide = np.isinf(gap)
         part = np.where(wide, np.multiply(e_a, 0.5) - np.multiply(e_b, 0.5), gap)
-        z = np.asarray(constants.phase_scale(part) * np.where(wide, 2.0, 1.0))
-    rate, e = _phase_log(z)[0], np.zeros(z.shape, dtype=int)
-    far = np.isinf(z)
-    m, k = np.frexp(part[far])
-    (mt, kt), (mh, kh) = math.frexp(constants.tau), math.frexp(constants.hbar)
-    z[far], e[far] = m * (mt / mh), k + wide[far] + (kt - kh)
-    rate[far] = e[far] * LN2_HI + (np.log(np.abs(z[far])) + e[far] * LN2_LO)
-    return z, e, rate
+    if np.isnan(part).any():
+        raise ValueError("energy gap must not be nan")
+    return _phase_log(part, constants.tau / constants.hbar, wide)
+
+
+def _lifetime(constants: PhysicalConstants, phase):
+    """``tau / log|1 + iw|``, infinite at a zero gap or past the largest double."""
+    c, j = _phase_rate(phase)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.ldexp(constants.tau / c, -j)
 
 
 def _coherence_factors(energies: np.ndarray, n: int,
                        constants: PhysicalConstants) -> np.ndarray:
     """Entrywise matrix [1 + i tau (e_a - e_b)/hbar]^{-n}."""
-    z, e, _ = _gap_phase(constants, energies[:, None], energies[None, :])
-    return _phase_power(n, z, e)[0]
+    phase = _gap_phase(constants, energies[:, None], energies[None, :])
+    return _phase_power(n, phase)[0]
 
 
 def evolve_density(dm: DensityMatrix, n: int,
@@ -196,9 +194,7 @@ def decoherence_time(delta_e, constants: PhysicalConstants = NATURAL):
     Infinite for a degenerate pair or past the largest double, finite for
     every other gap; scalars or arrays, in the units of ``constants.tau``.
     """
-    rate = _gap_phase(constants, delta_e)[2]
-    with np.errstate(divide="ignore", over="ignore"):
-        out = constants.tau / rate
+    out = _lifetime(constants, _gap_phase(constants, delta_e))
     return float(out) if np.ndim(delta_e) == 0 else out
 
 
@@ -210,8 +206,7 @@ def offdiagonal_modulus(n: int, delta_e,
     :func:`decoherence_time` — the identity the tests pin down.  Counts
     ``n`` may be an array that broadcasts against the gaps.
     """
-    z, e, _ = _gap_phase(constants, delta_e)
-    out = _phase_power(_step_count(n, 0), z, e)[1]
+    out = _phase_power(_step_count(n, 0), _gap_phase(constants, delta_e))[1]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -256,14 +251,14 @@ def decoherence_report(dm: DensityMatrix, steps,
         raise ValueError("steps must be non-empty")
     a, b = np.triu_indices(dm.dim, 1)
     e_a, e_b = dm.energies[a], dm.energies[b]
-    z, e, rate = _gap_phase(constants, e_a, e_b)
-    with np.errstate(divide="ignore", over="ignore"):
-        gaps, lifetimes = e_a - e_b, constants.tau / rate
+    phase = _gap_phase(constants, e_a, e_b)
+    with np.errstate(over="ignore"):
+        gaps = e_a - e_b
     return DecoherenceReport(
         tau=constants.tau, pairs=np.stack([a, b], axis=1), energy_gaps=gaps,
-        lifetimes=lifetimes, steps=steps,
+        lifetimes=_lifetime(constants, phase), steps=steps,
         moduli=modulus(dm.coeffs[a, b])[:, None]
-        * _phase_power(steps, z[:, None], e[:, None])[1])
+        * _phase_power(steps[:, None], phase)[1].T)
 
 
 def gamma_equivalence_check(dm: DensityMatrix, n: int,
@@ -313,6 +308,7 @@ def schroedinger_defect(n: int, delta_e,
     returned value measures how badly it fails.  Strictly increasing in
     ``n`` for a fixed nonzero gap; requires ``n >= 1``.
     """
-    n = _step_count(n, 1)
-    out = n * _gap_phase(constants, delta_e)[2]
+    c, j = _phase_rate(_gap_phase(constants, delta_e))
+    with np.errstate(over="ignore"):
+        out = np.ldexp(_step_count(n, 1) * c, j)
     return float(out) if np.ndim(delta_e) == 0 else out

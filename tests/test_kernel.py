@@ -1,5 +1,7 @@
 """Tests for the smearing kernel, both transform routes, and step schemes."""
 import math
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -89,6 +91,21 @@ def test_log_density_large_step_count_is_finite():
     assert val == pytest.approx(math.log(gamma_dist.pdf(500.0, a=500)), rel=1e-10)
 
 
+def test_the_density_loads_no_scipy():
+    # the log-weight takes math.lgamma of its one step count, so a fresh
+    # interpreter evaluates the density at n = 2 without importing scipy
+    probe = ("import sys\n"
+             "from dtmech.kernel import GammaKernel, gamma_density, "
+             "log_gamma_density\n"
+             "ker = GammaKernel(2, 1.0)\n"
+             "print(gamma_density(ker, 1.0), log_gamma_density(ker, [0.5, 2.0]))\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("n", [1, 300])
 def test_density_is_the_exponential_of_its_log(n):
     # one log-weight serves both: equal to the bit, on either side of the
@@ -163,18 +180,26 @@ def test_rule_huge_shape_no_overflow():
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def _christoffel_and_root(m, shape, u):
+def _recurrence_coefficients(m, shape):
+    """b_k = sqrt((k + 1)(k + 1 + shape)), k < m, of the orthonormal Laguerre
+    recurrence, in 40 digits: the same for every node of a rule."""
+    with mpmath.workdps(40):
+        return [mpmath.sqrt(mpmath.mpf(k + 1) * (k + 1 + shape))
+                for k in range(m)]
+
+
+def _christoffel_and_root(shape, bs, u):
     """At ``u``, in 40 digits: the normalized weight's Christoffel function
     1 / sum_{k<m} p_k(u)^2 over the orthonormal Laguerre polynomials, and
     ``u`` after one Newton step on p_m (a root to 40 digits from a node
-    already right to about 1e-15)."""
+    already right to about 1e-15); ``bs`` from
+    :func:`_recurrence_coefficients`."""
     with mpmath.workdps(40):
         u = mpmath.mpf(float(u))
         p_, p, dp_, dp, total = 0, mpmath.mpf(1), 0, 0, 0
         b_ = 0
-        for k in range(m):
+        for k, b in enumerate(bs):
             total += p * p
-            b = mpmath.sqrt(mpmath.mpf(k + 1) * (k + 1 + shape))
             gap = u - (2 * k + shape + 1)
             p_, p = p, (gap * p - b_ * p_) / b
             dp_, dp = dp, (p_ + gap * dp - b_ * dp_) / b
@@ -193,8 +218,9 @@ def test_rule_matches_the_christoffel_function_and_the_roots(m, shape):
     # root; (256, 4992) and (128, 20000) lie past the compiled evaluation's
     # overflow and take the orthonormal recurrence
     nodes, weights = kernel._laguerre_rule(m, shape)
+    bs = _recurrence_coefficients(m, shape)
     for u, w in zip(nodes, weights):
-        christoffel, root = _christoffel_and_root(m, shape, u)
+        christoffel, root = _christoffel_and_root(shape, bs, u)
         assert abs(w - christoffel) <= 1e-13 * christoffel, (m, shape, u)
         assert abs(u - float(root)) <= 4 * np.spacing(float(root)), (m, shape, u)
 
@@ -1115,20 +1141,36 @@ def test_probe_refuses_non_finite_or_non_positive_sizes(sigma, length):
                                    points=1024)
 
 
-@pytest.mark.parametrize("z", [0.0, 5e-324, -5e-324, 1e-8, 1.0, 1.3e154,
-                               1e200, 1.7e308, math.inf, -math.inf])
-def test_phase_log_matches_mpmath_to_two_ulp(z):
-    # log|1 + iz| and atan z, also past the z where z^2 overflows a double,
-    # with numpy's warnings turned into errors
+# w = x s: ten values as they are, then a w past the largest double, one
+# below the normal range and one whose w^2 is, each an exact product (s a
+# power of two)
+_PHASE_ROWS = [pytest.param(z, 1.0, id=str(z)) for z in (
+    0.0, 5e-324, -5e-324, 1e-8, 1.0, 1.3e154, 1e200, 1.7e308, math.inf,
+    -math.inf)] + [pytest.param(x, s, id=f"{x}*2^{math.frexp(s)[1] - 1}")
+                   for x, s in ((1e300, 2.0 ** 1000), (-3e-200, 2.0 ** -900),
+                                (1.5e-160, 2.0 ** -150))]
+
+
+@pytest.mark.parametrize("x, s", _PHASE_ROWS)
+def test_phase_log_matches_mpmath_to_two_ulp(x, s):
+    # the split of w = x s: k ln 2 + r is log|1 + iw| and the angle is atan
+    # w, also past the w where w^2 overflows a double and past the double
+    # range, and the rate c 2^j is log|1 + iw| too, c to its last digits
+    # below the normal range; numpy's warnings are turned into errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise", under="ignore"):
-            rate, angle = kernel._phase_log(z)
-    if math.isinf(z):
-        assert (rate, angle) == (math.inf, math.copysign(math.pi / 2, z))
+            p = kernel._phase_log(x, s)
+            c, j = kernel._phase_rate(p)
+    if math.isinf(x):
+        assert (p.r, c, p.angle) == (math.inf, math.inf,
+                                     math.copysign(math.pi / 2, x))
         return
     with mpmath.workdps(40):
-        x = mpmath.mpf(z)
-        exact = (float(mpmath.log1p(x * x) / 2), float(mpmath.atan(x)))
-    for got, want in zip((rate, angle), exact):
-        assert abs(float(got) - want) <= 2 * np.spacing(abs(want))
+        w = mpmath.mpf(x) * mpmath.mpf(s)
+        exact = mpmath.log1p(w * w) / 2
+        split = int(p.k) * mpmath.log(2) + mpmath.mpf(float(p.r))
+        for got, want in ((split, exact), (c, exact * mpmath.mpf(2) ** -int(j)),
+                          (p.angle, mpmath.atan(w))):
+            assert abs(float(got) - float(want)) <= 2 * np.spacing(
+                abs(float(want))), (got, want)

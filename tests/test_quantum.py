@@ -341,6 +341,48 @@ def test_the_report_of_an_overflowing_gap_keeps_n0_and_its_lifetime():
                                          NATURAL))
     assert rep.lifetimes[0] == pytest.approx(want, rel=1e-15)
 
+_CONSTANT_SETS = {"natural": NATURAL, "tau/hbar=1e300": _TINY_HBAR,
+                  "si-planck": SI_PLANCK}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_SETS))
+def test_lifetimes_and_defects_lie_within_two_ulps_of_mpmath(name):
+    # gaps 1e-300..1e300 of both signs; the phase w is the double product
+    # gap * (tau/hbar), rounded once to 53 bits at any exponent, and a value
+    # past the double range reads inf or 0.  Below |w| = 2^-27, where w^2
+    # leaves the normal range, the lifetime is 2 tau / w^2 from the split
+    constants = _CONSTANT_SETS[name]
+    ratio, n = constants.tau / constants.hbar, 10 ** 18
+    gaps = np.logspace(-300, 300, 201)
+    gaps = np.concatenate([gaps, -gaps])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lifetimes = decoherence_time(gaps, constants)
+        defects = schroedinger_defect(n, gaps, constants)
+    for gap, lifetime, defect in zip(gaps, lifetimes, defects):
+        with mpmath.workprec(53):
+            w = mpmath.mpf(gap) * mpmath.mpf(ratio)
+        with mpmath.workdps(40):
+            rate = mpmath.log1p(w * w) / 2
+            want = float(constants.tau / rate), float(n * rate)
+        for got, exact in zip((lifetime, defect), want):
+            assert got == exact or abs(got - exact) <= 2 * np.spacing(exact), (
+                gap, got, exact)
+
+
+def test_a_nan_gap_is_refused_and_infinite_gaps_keep_their_limits():
+    for value in (decoherence_time, lambda gap: offdiagonal_modulus(1, gap),
+                  lambda gap: schroedinger_defect(1, gap)):
+        for gap in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="nan"):
+                value(gap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gap in (math.inf, -math.inf):
+            assert (decoherence_time(gap), offdiagonal_modulus(1, gap),
+                    schroedinger_defect(1, gap)) == (0.0, 0.0, math.inf)
+
+
 # ---------------------------------------------------------------------------
 # transform equivalence
 
